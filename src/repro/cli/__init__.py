@@ -9,8 +9,6 @@ Subcommands mirror the tools the paper uses plus its own contribution:
 * ``predict`` — Eq. 1 mixture prediction;
 * ``advise`` — class-aware placement advice;
 * ``experiment`` — regenerate any paper table/figure by id.
+
+The entry point is :func:`repro.cli.main.main`.
 """
-
-from repro.cli.main import main
-
-__all__ = ["main"]

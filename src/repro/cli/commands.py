@@ -515,9 +515,11 @@ def _warm_targets(machine, spec: "str | None") -> "tuple[int, ...] | None":
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro-numa serve``: the placement-advisory JSON-RPC service.
 
-    Three modes: ``--soak`` runs the deterministic chaos soak and exits
-    nonzero unless every request was answered exactly once (and, with
-    the fault window on, the breaker recovered); ``--stdio`` answers
+    Three modes: ``--soak`` runs the deterministic soak and exits
+    nonzero unless every request was answered exactly once and the
+    scenario held (the partition: the breaker recovered; ``--converge``:
+    the repair loop converged; ``--no-fault``: the breaker never
+    tripped); ``--stdio`` answers
     line requests serially on stdin/stdout (on a logical clock, so the
     response stream — tier and staleness tags included — is a pure
     function of the request stream); the default binds the asyncio TCP
@@ -537,44 +539,40 @@ def cmd_serve(args: argparse.Namespace) -> int:
         run_soak,
         serve_stdio,
     )
-    from repro.service.soak import LogicalClock
-
-    if args.soak and getattr(args, "converge", False):
-        import json
-
-        from repro.service.soak import run_convergence_soak
-
-        report = run_convergence_soak(
-            machine=_serve_machine(args),
-            requests=args.requests,
-            seed=args.seed if args.seed is not None else DEFAULT_SEED,
-            runs=min(args.runs, 10),
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
-        total = report.answered == report.requests
-        return 0 if total and report.converged else 1
+    from repro.service.soak import (
+        DERATE_REPAIR,
+        HEALTHY,
+        PARTITION,
+        LogicalClock,
+    )
 
     if args.soak:
         import json
 
+        if args.converge:
+            scenario = DERATE_REPAIR
+        else:
+            scenario = PARTITION if args.fault else HEALTHY
         report = run_soak(
             machine=_serve_machine(args),
             requests=args.requests,
             seed=args.seed if args.seed is not None else DEFAULT_SEED,
             runs=min(args.runs, 10),  # soak favours wall-time over noise
-            fault=args.fault,
-            failure_threshold=min(args.failure_threshold, 2),
+            scenario=scenario,
+            # The convergence drill always ran at threshold 2.
+            failure_threshold=(
+                2 if args.converge else min(args.failure_threshold, 2)
+            ),
         )
         if args.json:
             print(json.dumps(report.to_dict(), indent=2))
         else:
             print(report.render())
-        total = report.answered == report.requests
-        healthy_end = report.recovered if args.fault else not report.tripped
-        return 0 if total and healthy_end else 1
+        if args.converge:
+            passed = report.converged
+        else:
+            passed = report.recovered if args.fault else not report.tripped
+        return 0 if report.answered == report.requests and passed else 1
 
     machine = _serve_machine(args)
     solver_pool = None

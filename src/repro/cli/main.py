@@ -257,14 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "'ready' stays false until warmup completes")
     p.add_argument("--soak", action="store_true",
                    help="run the deterministic chaos soak instead of serving")
-    p.add_argument("--converge", action="store_true",
-                   help="with --soak: run the self-healing convergence "
-                        "drill (derate window, drift, quarantine, repair) "
-                        "instead of the breaker-tripping partition soak")
+    scenario = p.add_mutually_exclusive_group()
+    scenario.add_argument("--converge", action="store_true",
+                          help="with --soak: run the self-healing "
+                               "convergence drill (derate window, drift, "
+                               "quarantine, repair) instead of the "
+                               "breaker-tripping partition soak")
+    scenario.add_argument("--no-fault", dest="fault", action="store_false",
+                          help="soak without the fault window "
+                               "(healthy twin)")
     p.add_argument("--requests", type=int, default=120,
                    help="scripted requests in the soak trace")
-    p.add_argument("--no-fault", dest="fault", action="store_false",
-                   help="soak without the fault window (healthy twin)")
     p.add_argument("--json", action="store_true",
                    help="emit the soak report as JSON")
     _add_obs_dir(p)

@@ -24,8 +24,9 @@ The robustness machinery is the point:
   serves *degraded class-level answers* (last-good per-class bandwidths
   from the most recent characterization) until half-open probes succeed;
 * graceful **drain** on shutdown;
-* a deterministic **chaos soak** that drives scripted traffic while a
-  :class:`~repro.faults.plan.FaultPlan` fires mid-stream;
+* a deterministic **soak engine** that drives scripted traffic while a
+  fault scenario (partition, derate-with-repair, or none) fires
+  mid-stream;
 * an always-on **live metrics plane** (:mod:`repro.obs.live`): per
   method/tier latency histograms, a bounded flight recorder dumped on
   breaker trips and crashes, a model **drift watch** over every tier-3
@@ -61,11 +62,9 @@ from repro.service.server import (
     serve_stdio,
 )
 from repro.service.soak import (
-    ConvergenceReport,
     SoakReport,
     build_derate_plan,
     build_soak_plan,
-    run_convergence_soak,
     run_soak,
 )
 
@@ -93,10 +92,8 @@ __all__ = [
     "PlacementService",
     "ServiceConfig",
     "serve_stdio",
-    "ConvergenceReport",
     "SoakReport",
     "build_derate_plan",
     "build_soak_plan",
-    "run_convergence_soak",
     "run_soak",
 ]

@@ -21,7 +21,8 @@ The backend owns everything behind the wire protocol:
   - **tier 2** — ``advise``/``classify`` from the memoized snapshot
     (bit-identical to the solver path, no solver touched) and ``plan``
     from the per-weight memo;
-  - **tier 3** — a full Algorithm 1 solve, which refreshes tiers 1–2.
+  - **tier 3** — a full Algorithm 1 solve, which refreshes tiers 1–2
+    and answers through the same tier-2 payload code.
 
   When the circuit breaker is open the *same* store serves last-good
   answers (fingerprint- and staleness-blind, marked ``degraded:
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from repro.analysis.planner import DeviceAttachmentPlanner
 from repro.core.iomodel import IOModelBuilder
 from repro.core.model import IOPerformanceModel
-from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.errors import (
     FaultError,
     ModelError,
@@ -67,6 +67,7 @@ from repro.service.tiers import (
     TIER_CLASS,
     TIER_SOLVE,
     TIER_ANALYTIC,
+    TierEntry,
     TierStore,
     WireAnswer,
     stamp_tier,
@@ -467,12 +468,57 @@ class AdvisoryBackend:
         self.warmed = True
 
     # --- live answers ------------------------------------------------------
-    def _entry(self, target: int, mode: str):
-        """The fresh tier entry for live answers, or ``None``."""
-        return self.tiers.fresh(
+    def _tiered(self, method: str, params: dict) -> dict:
+        """The one tier-dispatch path behind every class-model answer.
+
+        A quarantined ``(target, mode)`` serves the labelled
+        ``repairing`` last-good answer — requests never stampede the
+        solver while the repair supervisor is already re-characterizing
+        the key.  Otherwise the fresh tier entry answers (tier 1 or 2,
+        noted by the drift watch), else a tier-3 solve, whose payload
+        is the same :class:`~repro.service.tiers.TierEntry` code applied
+        to the solved model itself: the stored entry when the solve just
+        refreshed it, else one built from the model (:meth:`model` may
+        return a cached model while the stored entry holds another
+        fingerprint).
+        """
+        target, mode = params["target"], params["mode"]
+        self._check_node(target, "target")
+        if self.tiers.quarantine_reason(target, mode) is not None:
+            payload = self.degraded_answer(method, params, "repairing")
+            if payload is not None:
+                return payload
+        entry = self.tiers.fresh(
             target, mode, machine_fingerprint(self.machine),
             self.clock(), self.tier_max_staleness_s,
         )
+        if entry is not None:
+            if method == "predict_eq1":  # tier 1: the analytic fit
+                tier = TIER_ANALYTIC
+                payload = entry.analytic_predict(params["streams"])
+            else:
+                tier = TIER_CLASS
+                payload = entry.answer(method, params)
+            if payload is not None:
+                note = self._drift_note
+                if note is not None:
+                    note(entry.drift_note)
+                return stamp_tier(payload, tier, entry.staleness(self.clock()))
+        fingerprint = machine_fingerprint(self.machine)
+        model = self.model(target, mode)
+        solved = self.tiers.entries.get((target, mode))
+        if (
+            solved is None
+            or solved.fingerprint != fingerprint
+            or solved.values != model.values
+        ):
+            solved = TierEntry.build(
+                ClassSnapshot.from_model(model), model, self.machine,
+                fingerprint, self.clock(),
+            )
+        payload = dict(solved.answer(method, params))
+        payload["source"] = "characterization"
+        return stamp_tier(payload, TIER_SOLVE, 0.0)
 
     def advise(
         self,
@@ -482,47 +528,11 @@ class AdvisoryBackend:
         avoid_irq_node: bool = False,
         tolerance: float = 0.05,
     ) -> dict:
-        """Class-aware placement: tier 2 from the snapshot, else tier 3.
-
-        A quarantined ``(target, mode)`` serves the labelled
-        ``repairing`` last-good answer instead — requests never
-        stampede the solver while the repair supervisor is already
-        re-characterizing the key, and never get an unlabelled stale
-        answer.  With no last-good cover it falls through to tier 3
-        (whose landed solve lifts the quarantine).
-        """
-        self._check_node(target, "target")
-        if self.tiers.quarantine_reason(target, mode) is not None:
-            payload = self.repairing_answer("advise", {
-                "target": target, "mode": mode, "tasks": tasks,
-                "avoid_irq_node": avoid_irq_node, "tolerance": tolerance,
-            })
-            if payload is not None:
-                return payload
-        entry = self._entry(target, mode)
-        if entry is not None:
-            note = self._drift_note
-            if note is not None:
-                note(entry.drift_note)
-            return stamp_tier(
-                entry.advise_payload(tasks, avoid_irq_node, tolerance),
-                TIER_CLASS, entry.staleness(self.clock()),
-            )
-        model = self.model(target, mode)
-        advisor = PlacementAdvisor(self.machine, model, tolerance=tolerance)
-        plan = advisor.advise(tasks, avoid_irq_node=avoid_irq_node)
-        return stamp_tier({
-            "degraded": False,
-            "source": "characterization",
-            "machine": self.machine.name,
-            "target": target,
-            "mode": mode,
-            "tasks_per_node": {
-                str(n): c for n, c in sorted(plan.tasks_per_node.items()) if c
-            },
-            "classes_used": list(plan.classes_used),
-            "stream_nodes": plan.stream_nodes(),
-        }, TIER_SOLVE, 0.0)
+        """Class-aware placement: tier 2 from the snapshot, else tier 3."""
+        return self._tiered("advise", {
+            "target": target, "mode": mode, "tasks": tasks,
+            "avoid_irq_node": avoid_irq_node, "tolerance": tolerance,
+        })
 
     def _plan_base(self) -> tuple[tuple, float, bool, str]:
         """The weight-independent per-node plan scores for the live machine.
@@ -633,74 +643,13 @@ class AdvisoryBackend:
         """
         for node in streams:
             self._check_node(node, "stream node")
-        self._check_node(target, "target")
-        if self.tiers.quarantine_reason(target, mode) is not None:
-            payload = self.repairing_answer(
-                "predict_eq1",
-                {"target": target, "mode": mode, "streams": streams},
-            )
-            if payload is not None:
-                return payload
-        entry = self._entry(target, mode)
-        if entry is not None:
-            payload = entry.analytic_predict(streams)
-            if payload is not None:
-                note = self._drift_note
-                if note is not None:
-                    note(entry.drift_note)
-                return stamp_tier(
-                    payload, TIER_ANALYTIC, entry.staleness(self.clock())
-                )
-        model = self.model(target, mode)
-        alpha: dict[int, float] = {}
-        for node in streams:
-            rank = model.class_of(node).rank
-            alpha[rank] = alpha.get(rank, 0.0) + 1.0
-        avgs = {c.rank: c.avg for c in model.classes}
-        total = sum(alpha.values())
-        predicted = sum(
-            (share / total) * avgs[rank] for rank, share in alpha.items()
+        return self._tiered(
+            "predict_eq1", {"target": target, "mode": mode, "streams": streams}
         )
-        return stamp_tier({
-            "degraded": False,
-            "source": "characterization",
-            "machine": self.machine.name,
-            "target": target,
-            "mode": mode,
-            "streams": list(streams),
-            "predicted_gbps": wire_gbps(predicted),
-            "class_fractions": {
-                str(rank): wire_gbps(share / total)
-                for rank, share in sorted(alpha.items())
-            },
-        }, TIER_SOLVE, 0.0)
 
     def classify(self, target: int, mode: str) -> dict:
         """The class structure for ``(target, mode)``: tier 2, else tier 3."""
-        self._check_node(target, "target")
-        if self.tiers.quarantine_reason(target, mode) is not None:
-            payload = self.repairing_answer(
-                "classify", {"target": target, "mode": mode}
-            )
-            if payload is not None:
-                return payload
-        entry = self._entry(target, mode)
-        if entry is not None:
-            note = self._drift_note
-            if note is not None:
-                note(entry.drift_note)
-            return stamp_tier(
-                entry.classify_payload(), TIER_CLASS,
-                entry.staleness(self.clock()),
-            )
-        model = self.model(target, mode)
-        payload = ClassSnapshot.from_model(model).to_dict()
-        payload["values"] = {
-            str(n): wire_gbps(v) for n, v in sorted(model.values.items())
-        }
-        payload["degraded"] = False
-        payload["source"] = "characterization"
-        return stamp_tier(payload, TIER_SOLVE, 0.0)
+        return self._tiered("classify", {"target": target, "mode": mode})
 
     # --- degraded answers --------------------------------------------------
     def snapshot(self, target: int, mode: str) -> "ClassSnapshot | None":
@@ -708,18 +657,19 @@ class AdvisoryBackend:
         entry = self.tiers.last_good(target, mode)
         return entry.snapshot if entry is not None else None
 
-    def degraded_answer(self, method: str, params: dict) -> "dict | None":
-        """A class-level answer from the last-good tier entry.
+    def degraded_answer(
+        self, method: str, params: dict, label: str = "degraded"
+    ) -> "dict | None":
+        """The one last-good answer path, labelled ``degraded`` or ``repairing``.
 
-        Returns ``None`` when no entry covers the request — the
-        dispatcher then refuses with a typed ``unavailable`` error.
-        Every answer is marked ``degraded: true`` with its provenance,
-        tagged tier 2 with its true (possibly large) staleness; the
-        lookup is fingerprint- and staleness-blind on purpose — while
-        the breaker is open, the freshest snapshot we ever had *is*
-        the answer.
+        Returns ``None`` when no entry covers the request.  Every answer
+        is marked ``degraded: true`` with its provenance, tagged tier 2
+        with its true (possibly large) staleness; the lookup is
+        fingerprint- and staleness-blind on purpose — while the breaker
+        is open, the freshest snapshot we ever had *is* the answer.  A
+        ``repairing`` answer (a quarantined key the repair supervisor
+        has not yet promoted back) also carries ``repairing: true``.
         """
-        now = self.clock()
         if method == "plan":
             cached = self._last_good_plans.get(
                 round(float(params["write_weight"]), 9)
@@ -727,58 +677,27 @@ class AdvisoryBackend:
             if cached is None:
                 return None
             payload, at = cached
-            return stamp_tier(
-                dict(payload, degraded=True,
-                     source="last-good-characterization"),
-                TIER_CLASS, now - at,
-            )
-        return self._last_good_answer(
-            method, params, "last-good-characterization"
-        )
-
-    def repairing_answer(self, method: str, params: dict) -> "dict | None":
-        """The answer for a quarantined ``(target, mode)`` under repair.
-
-        Same last-good store as :meth:`degraded_answer`, but labelled
-        ``repairing: true`` with ``source: "last-good-repairing"`` —
-        the key was pulled from live serving by the self-healing plane
-        (fault blast radius or a drift event) and the supervisor has
-        not yet promoted a fresh characterization back.  Never silently
-        stale: the true staleness and the repair label ride on every
-        response.  Returns ``None`` when no entry covers the request
-        (the caller then falls through to a genuine tier-3 solve).
-        """
-        return self._last_good_answer(
-            method, params, "last-good-repairing", repairing=True
-        )
-
-    def _last_good_answer(
-        self, method: str, params: dict, source: str, repairing: bool = False
-    ) -> "dict | None":
-        if method not in ("advise", "predict_eq1", "classify"):
-            return None
-        entry = self.tiers.last_good(params["target"], params["mode"])
-        if entry is None:
-            return None
-        if self._drift_note is not None:
-            # Degraded answers are served off the last-good model too:
-            # the drift watch must account them against the next solve.
-            self._drift_note(entry.drift_note)
-        if method == "classify":
-            payload = entry.classify_payload()
-        elif method == "advise":
-            payload = entry.advise_payload(
-                params["tasks"], params["avoid_irq_node"], params["tolerance"]
-            )
-        else:  # predict_eq1: the exact snapshot mixture, not the fit
-            payload = entry.predict_payload(params["streams"])
+        elif method in ("advise", "predict_eq1", "classify"):
+            entry = self.tiers.last_good(params["target"], params["mode"])
+            if entry is None:
+                return None
+            payload = entry.answer(method, params)
             if payload is None:
                 return None
+            if self._drift_note is not None:
+                # Degraded answers are served off the last-good model
+                # too: the drift watch must account them against the
+                # next solve.
+                self._drift_note(entry.drift_note)
+            at = entry.refreshed_at
+        else:
+            return None
         # Plain-dict copy: the degraded markers invalidate the entry's
         # pre-encoded wire form, so this must take the full-encode path.
-        payload = dict(payload)
-        payload["degraded"] = True
-        payload["source"] = source
-        if repairing:
+        payload = dict(payload, degraded=True)
+        if label == "repairing":
+            payload["source"] = "last-good-repairing"
             payload["repairing"] = True
-        return stamp_tier(payload, TIER_CLASS, entry.staleness(self.clock()))
+        else:
+            payload["source"] = "last-good-characterization"
+        return stamp_tier(payload, TIER_CLASS, self.clock() - at)

@@ -171,51 +171,35 @@ def _type_names(types: tuple) -> str:
 
 
 def _check_field(method: str, name: str, spec: Field, value):
-    where = f"method {method!r}: param {name!r}"
+    """Raise the typed ``invalid_params`` error for the first violation."""
     if not _type_ok(value, spec.types):
-        raise ServiceError(
-            "invalid_params",
-            f"{where} must be {_type_names(spec.types)}, "
-            f"got {type(value).__name__}",
-            data={"param": name},
+        problem = (
+            f"must be {_type_names(spec.types)}, got {type(value).__name__}"
         )
-    if spec.choices is not None and value not in spec.choices:
-        raise ServiceError(
-            "invalid_params",
-            f"{where} must be one of {list(spec.choices)}, got {value!r}",
-            data={"param": name},
+    elif spec.choices is not None and value not in spec.choices:
+        problem = f"must be one of {list(spec.choices)}, got {value!r}"
+    elif spec.minimum is not None and value < spec.minimum:
+        problem = f"must be >= {spec.minimum}, got {value!r}"
+    elif spec.maximum is not None and value > spec.maximum:
+        problem = f"must be <= {spec.maximum}, got {value!r}"
+    elif spec.below is not None and value >= spec.below:
+        problem = f"must be < {spec.below}, got {value!r}"
+    elif spec.item_types is not None and (
+        bad := [v for v in value if not _type_ok(v, spec.item_types)]
+    ):
+        problem = (
+            f"must contain only {_type_names(spec.item_types)}, "
+            f"got {bad[0]!r}"
         )
-    if spec.minimum is not None and value < spec.minimum:
-        raise ServiceError(
-            "invalid_params",
-            f"{where} must be >= {spec.minimum}, got {value!r}",
-            data={"param": name},
-        )
-    if spec.maximum is not None and value > spec.maximum:
-        raise ServiceError(
-            "invalid_params",
-            f"{where} must be <= {spec.maximum}, got {value!r}",
-            data={"param": name},
-        )
-    if spec.below is not None and value >= spec.below:
-        raise ServiceError(
-            "invalid_params",
-            f"{where} must be < {spec.below}, got {value!r}",
-            data={"param": name},
-        )
-    if spec.item_types is not None:
-        bad = [v for v in value if not _type_ok(v, spec.item_types)]
-        if bad:
-            raise ServiceError(
-                "invalid_params",
-                f"{where} must contain only {_type_names(spec.item_types)}, "
-                f"got {bad[0]!r}",
-                data={"param": name},
-            )
-    if spec.nonempty and not value:
-        raise ServiceError(
-            "invalid_params", f"{where} must not be empty", data={"param": name}
-        )
+    elif spec.nonempty and not value:
+        problem = "must not be empty"
+    else:
+        return
+    raise ServiceError(
+        "invalid_params",
+        f"method {method!r}: param {name!r} {problem}",
+        data={"param": name},
+    )
 
 
 def _needs_full_check(spec: Field) -> bool:

@@ -87,6 +87,9 @@ _TIER_COUNTERS = {t: f"service.tier.{t}.answers" for t in (1, 2, 3)}
 #: scans — with per-line tuples the GC tax alone was ~1us per request.
 _OBS_BATCH = 4 * 4096
 
+#: The methods :class:`AdvisoryBackend` answers, one backend call each.
+_BACKEND_METHODS = frozenset({"advise", "plan", "predict_eq1", "classify"})
+
 #: Error responses have no ``result``; a shared empty dict keeps the
 #: hot-path tier lookup branch-free.
 _NO_RESULT: dict = {}
@@ -113,15 +116,12 @@ class ServiceConfig:
     failure_threshold: int = 3  # consecutive solver failures that trip
 
     def __post_init__(self) -> None:
-        if self.queue_limit < 1:
-            raise ServiceError(
-                "invalid_params",
-                f"queue_limit must be >= 1, got {self.queue_limit}",
-            )
-        if self.workers < 1:
-            raise ServiceError(
-                "invalid_params", f"workers must be >= 1, got {self.workers}"
-            )
+        for name in ("queue_limit", "workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ServiceError(
+                    "invalid_params", f"{name} must be >= 1, got {value}"
+                )
 
 
 class PlacementService:
@@ -343,15 +343,9 @@ class PlacementService:
 
     # --- dispatch ----------------------------------------------------------
     def _execute(self, method: str, params: dict) -> dict:
-        if method == "advise":
-            return self.backend.advise(**params)
-        if method == "plan":
-            return self.backend.plan(**params)
-        if method == "predict_eq1":
-            return self.backend.predict_eq1(**params)
-        if method == "classify":
-            return self.backend.classify(**params)
-        raise ServiceError("method_not_found", f"unknown method {method!r}")
+        if method not in _BACKEND_METHODS:
+            raise ServiceError("method_not_found", f"unknown method {method!r}")
+        return getattr(self.backend, method)(**params)
 
     def _degraded_or_error(self, req_id, method, params, exc: ServiceError):
         answer = self.backend.degraded_answer(method, params)
@@ -422,23 +416,14 @@ class PlacementService:
         except SOLVER_FAILURES as exc:
             self.breaker.record_failure()
             _obs.count("service.solver_failures")
-            if self.breaker.state != CircuitBreaker.CLOSED:
-                return self._degraded_or_error(
-                    req_id, method, filled,
-                    ServiceError(
-                        "solver_error",
-                        f"{type(exc).__name__}: {exc}",
-                        data={"breaker": self.breaker.state},
-                    ),
-                )
-            return self._error(
-                req_id,
-                ServiceError(
-                    "solver_error",
-                    f"{type(exc).__name__}: {exc}",
-                    data={"breaker": self.breaker.state},
-                ),
+            error = ServiceError(
+                "solver_error",
+                f"{type(exc).__name__}: {exc}",
+                data={"breaker": self.breaker.state},
             )
+            if self.breaker.state != CircuitBreaker.CLOSED:
+                return self._degraded_or_error(req_id, method, filled, error)
+            return self._error(req_id, error)
         self.breaker.record_success()
         self._note_tier(result)
         return result_response(req_id, result)
@@ -680,9 +665,27 @@ class AsyncPlacementServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         lock = asyncio.Lock()  # one response write at a time per client
+        oversized = False  # dropping a line past the stream limit
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # EOF: the unterminated tail, if any
+                except asyncio.LimitOverrunError as exc:
+                    # Drop the newline-free head, read on to the end ...
+                    await reader.readexactly(exc.consumed)
+                    oversized = True
+                    continue
+                if oversized:
+                    # ... then answer the line, typed; the connection
+                    # stays usable for the next request.
+                    oversized = False
+                    await self._reply(writer, lock, self._typed_line(
+                        "", "invalid_request",
+                        "request line exceeds the stream limit",
+                    ))
+                    continue
                 if not raw:
                     break
                 line = raw.decode("utf-8", errors="replace").strip()

@@ -1,12 +1,14 @@
-"""The deterministic chaos soak: scripted traffic under a live fault plan.
+"""The deterministic soak engine: scripted traffic under a fault scenario.
 
 The soak drives the *exact* production dispatch path
 (:class:`~repro.service.server.PlacementService.handle_line`) with a
 scripted request trace while a :class:`~repro.faults.plan.FaultPlan`
-fires mid-stream: the device node's cables all fail at once, the
-fabric partitions, Algorithm 1 characterization becomes unsolvable, the
-circuit breaker trips, degraded class-level answers flow, the cables
-come back, a half-open probe succeeds, and the breaker closes.
+fires mid-stream.  The scenario is data (:class:`SoakScenario`):
+:data:`PARTITION` fails the device node's cables — characterization
+becomes unsolvable, the circuit breaker trips, degraded class-level
+answers flow, the cables come back, a half-open probe succeeds and the
+breaker closes; :data:`DERATE_REPAIR` derates them instead, with the
+self-healing repair loop attached; :data:`HEALTHY` runs no fault.
 
 Three properties are checked (and pinned by tests and
 ``scripts/service_smoke.sh``):
@@ -17,13 +19,14 @@ Three properties are checked (and pinned by tests and
 * **determinism** — time is a logical clock, every random draw comes
   from named :class:`~repro.rng.RngRegistry` streams, so two runs with
   the same seed produce byte-identical response streams;
-* **recovery** — with the fault window enabled, the breaker must trip
-  and must be closed again by the end of the trace.
+* **recovery** — the partition's breaker must trip and be closed again
+  by the end of the trace; the derate's repair loop must converge.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.faults.events import FaultEvent, LinkDegrade, LinkFail
@@ -39,12 +42,14 @@ from repro.topology.machine import Machine
 
 __all__ = [
     "LogicalClock",
+    "SoakScenario",
+    "PARTITION",
+    "DERATE_REPAIR",
+    "HEALTHY",
     "SoakReport",
-    "ConvergenceReport",
     "build_soak_plan",
     "build_derate_plan",
     "run_soak",
-    "run_convergence_soak",
 ]
 
 #: Logical seconds between consecutive scripted requests.
@@ -167,9 +172,51 @@ def build_traffic(
     return lines
 
 
+@dataclass(frozen=True)
+class SoakScenario:
+    """One fault scenario for :func:`run_soak` — pure data.
+
+    ``plan`` builds the fault plan from ``(machine, victim, at_s,
+    until_s)`` (``None`` runs the trace fault-free); ``window`` is the
+    fault window as fractions of the trace duration.  ``repair``
+    attaches a :class:`~repro.healing.repair.RepairSupervisor` pumped
+    every third tick and fills the routing planes up front, so every
+    fault-window swap re-routes incrementally and its
+    :class:`~repro.routing.incremental.RerouteStats` bound the
+    quarantine.
+    """
+
+    plan: "Callable[[Machine, int, float, float], FaultPlan] | None" = field(
+        repr=False
+    )
+    window: tuple[float, float] = (0.25, 0.5)
+    repair: bool = False
+
+
+#: Fail every cable of the device node: the breaker trips and recovers.
+PARTITION = SoakScenario(build_soak_plan)
+#: Derate the device node's cables (still solvable) with the repair loop
+#: attached: drift → quarantine → repair → promote, both ways.
+DERATE_REPAIR = SoakScenario(
+    build_derate_plan, window=(0.25, 0.55), repair=True
+)
+#: The same trace against a healthy host (the twin the smoke diffs).
+HEALTHY = SoakScenario(None)
+
+
 @dataclass
 class SoakReport:
-    """Everything one soak run observed, JSON-able and renderable."""
+    """Everything one soak run observed, JSON-able and renderable.
+
+    With the repair loop attached the numbers must tell the
+    self-healing story: derate fires → the supervisor quarantines the
+    blast radius → requests get labelled ``repairing`` answers →
+    background repair re-characterizes and promotes → the service is
+    back on tiers 1–2 *under the faulted machine* → the fault clears →
+    the faulted-era entries are re-quarantined, repaired again, and the
+    service re-converges on the healthy model — with zero unlabelled
+    stale answers anywhere in the trace.
+    """
 
     seed: int
     requests: int
@@ -178,14 +225,29 @@ class SoakReport:
     responses: list[str] = field(default_factory=list)
     ok: int = 0
     degraded: int = 0
+    repairing: int = 0
     tiers: dict[int, int] = field(default_factory=dict)
     errors: dict[str, int] = field(default_factory=dict)
     breaker_transitions: list[tuple[float, str]] = field(default_factory=list)
     final_breaker_state: str = CircuitBreaker.CLOSED
+    #: Responses that were served off a quarantined or stale model
+    #: without carrying their ``degraded``/``repairing`` label — the
+    #: hard robustness contract; must be zero.
+    unlabelled_stale: int = 0
+    #: A tier-1/2 non-degraded answer was served while the fault was
+    #: live (i.e. repair promoted a faulted-fingerprint entry).
+    converged_during_fault: bool = False
+    #: Same, after the fault cleared (re-repair promoted again).
+    reconverged_after_clear: bool = False
+    #: ``RepairSupervisor.stats()``; empty when no supervisor ran.
+    repair: dict = field(default_factory=dict)
+    final_quarantined: int = 0
     #: Live-plane counter snapshot at end of run (sorted keys).
     counters: dict[str, int] = field(default_factory=dict)
     #: Drift-watch summary (``DriftWatch.stats()``), ``None`` if disabled.
     drift: "dict | None" = None
+    #: Drift, repair and breaker-trip flight-recorder events.
+    flight_events: list[dict] = field(default_factory=list)
 
     @property
     def answered(self) -> int:
@@ -202,6 +264,54 @@ class SoakReport:
         """Did the breaker close again after tripping?"""
         return self.tripped and self.final_breaker_state == CircuitBreaker.CLOSED
 
+    @property
+    def converged(self) -> bool:
+        """Did the self-healing loop close, honestly, both ways?"""
+        return (
+            self.converged_during_fault
+            and self.reconverged_after_clear
+            and self.unlabelled_stale == 0
+            and self.final_quarantined == 0
+            and self.repair.get("jobs", 1) == 0
+            and (self.drift or {}).get("events", 0) >= 1
+        )
+
+    def account(
+        self, response: str, quarantined: frozenset, faulted: bool
+    ) -> None:
+        """Fold one wire response into the tallies.
+
+        ``quarantined``: the ``(target, mode)`` keys quarantined when
+        the request was served; ``faulted``: a fault was live.
+        """
+        self.responses.append(response)
+        payload = json.loads(response)
+        if "error" in payload:
+            kind = payload["error"]["kind"]
+            self.errors[kind] = self.errors.get(kind, 0) + 1
+            return
+        result = payload["result"]
+        tier = result.get("tier")
+        if tier is None:
+            self.ok += 1  # health/ready/metrics
+            return
+        self.tiers[tier] = self.tiers.get(tier, 0) + 1
+        if result.get("degraded"):
+            self.degraded += 1
+            if result.get("repairing"):
+                self.repairing += 1
+        else:
+            self.ok += 1
+            if tier != 3:
+                if faulted:
+                    self.converged_during_fault = True
+                elif self.converged_during_fault:
+                    self.reconverged_after_clear = True
+                if (result.get("target"), result.get("mode")) in quarantined:
+                    self.unlabelled_stale += 1
+        if "staleness_s" not in result:
+            self.unlabelled_stale += 1
+
     def to_dict(self) -> dict:
         """JSON-able summary (the ``--json`` CLI output)."""
         return {
@@ -210,6 +320,7 @@ class SoakReport:
             "answered": self.answered,
             "ok": self.ok,
             "degraded": self.degraded,
+            "repairing": self.repairing,
             "tiers": {str(t): self.tiers[t] for t in sorted(self.tiers)},
             "errors": {k: self.errors[k] for k in sorted(self.errors)},
             "fault_window": list(self.fault_window) if self.fault_window else None,
@@ -220,8 +331,15 @@ class SoakReport:
             "final_breaker_state": self.final_breaker_state,
             "tripped": self.tripped,
             "recovered": self.recovered,
+            "unlabelled_stale": self.unlabelled_stale,
+            "converged_during_fault": self.converged_during_fault,
+            "reconverged_after_clear": self.reconverged_after_clear,
+            "converged": self.converged,
+            "repair": self.repair,
+            "final_quarantined": self.final_quarantined,
             "counters": self.counters,
             "drift": self.drift,
+            "flight_events": self.flight_events,
             # The wire-level response stream itself: the twin-run smoke
             # diff compares these byte-for-byte.
             "responses": [r.rstrip("\n") for r in self.responses],
@@ -229,11 +347,15 @@ class SoakReport:
 
     def render(self) -> str:
         """Deterministic human summary."""
+        title = "convergence" if self.repair else "chaos"
+        repairing = (
+            f" of which repairing {self.repairing}" if self.repair else ""
+        )
         out = [
-            f"chaos soak: {self.requests} scripted requests, seed {self.seed}",
+            f"{title} soak: {self.requests} scripted requests, seed {self.seed}",
             f"  fault plan    : {self.plan_text}",
             f"  answered      : {self.answered} "
-            f"(ok {self.ok}, degraded {self.degraded}, "
+            f"(ok {self.ok}, degraded {self.degraded}{repairing}, "
             f"errors {sum(self.errors.values())})",
             "  tiers         : " + ", ".join(
                 f"{TIER_NAMES[t]} {self.tiers.get(t, 0)}" for t in (1, 2, 3)
@@ -248,7 +370,28 @@ class SoakReport:
             f"(tripped={str(self.tripped).lower()}, "
             f"recovered={str(self.recovered).lower()})"
         )
-        if self.drift is not None:
+        if self.repair:
+            out += [
+                f"  repair        : started {self.repair['started']}, "
+                f"promoted {self.repair['promoted']}, "
+                f"failed {self.repair['failed']}, "
+                f"jobs left {self.repair['jobs']}",
+                f"  drift events  : {(self.drift or {}).get('events', 0)}",
+                f"  unlabelled    : {self.unlabelled_stale} stale answers "
+                "without their label (must be 0)",
+                f"  converged     : during fault "
+                f"{str(self.converged_during_fault).lower()}, after clearance "
+                f"{str(self.reconverged_after_clear).lower()} "
+                f"-> {str(self.converged).lower()}",
+            ]
+            for event in self.flight_events:
+                tags = event.get("tags", {})
+                what = tags.get("phase", tags.get("regime", ""))
+                out.append(
+                    f"    flight @ {event['t']:7.2f} s {event['kind']:<8s} "
+                    f"{what}"
+                )
+        elif self.drift is not None:
             out.append(
                 f"  drift watch   : {self.drift['events']} event(s) across "
                 f"{self.drift['watched']} watched (target,mode) pair(s)"
@@ -261,18 +404,28 @@ def run_soak(
     requests: int = 120,
     seed: int = DEFAULT_SEED,
     runs: int = 5,
-    fault: bool = True,
+    scenario: SoakScenario = PARTITION,
     failure_threshold: int = 2,
 ) -> SoakReport:
-    """Run the scripted chaos soak and return its report.
+    """Replay the scripted trace under ``scenario`` and return its report.
 
-    The fault window spans the middle ~35 % of the trace; with
-    ``fault=False`` the same trace runs against a healthy host (the
-    smoke script diffs the two to prove the degraded path is the only
-    divergence).
+    One loop drives every scenario: swap the machine view as faults
+    fire and clear, answer each line through
+    :meth:`~repro.service.server.PlacementService.handle_line`, pump
+    the repair supervisor (if the scenario attaches one) every third
+    tick, and account each response.  :data:`PARTITION` must trip and
+    recover the breaker; :data:`HEALTHY` runs the same trace fault-free
+    (the smoke script diffs the two to prove the degraded path is the
+    only divergence); :data:`DERATE_REPAIR` must close the self-healing
+    loop both ways (:attr:`SoakReport.converged`).  Same-seed twins are
+    byte-identical, repair schedule included.
     """
     if machine is None:
         machine = reference_host()
+    if scenario.repair:
+        # RerouteStats then bound the quarantine of every swap.
+        for plane in ("pio", "dma"):
+            machine.routing.populate(plane, strict=False)
     registry = RngRegistry(seed)
     device_nodes = sorted({d.node_id for d in machine.devices.values()})
     target = device_nodes[0] if device_nodes else machine.node_ids[-1]
@@ -288,228 +441,25 @@ def run_soak(
         clock=clock,
     )
     service = PlacementService(backend, breaker=breaker, clock=clock)
+    supervisor = None
+    if scenario.repair:
+        from repro.healing.repair import RepairSupervisor
+
+        supervisor = RepairSupervisor(
+            backend,
+            retry=RetryPolicy(
+                max_retries=3, base_delay_s=0.4, multiplier=2.0, jitter=0.25
+            ),
+        ).attach(service)
     backend.warm((target,))  # the last-good snapshots degraded mode serves
 
-    duration = requests * TICK_S
-    window = (round(0.25 * duration, 3), round(0.5 * duration, 3))
-    plan = (
-        build_soak_plan(machine, target, *window) if fault else FaultPlan()
-    )
+    window = None
+    plan = FaultPlan()
+    if scenario.plan is not None:
+        duration = requests * TICK_S
+        window = tuple(round(f * duration, 3) for f in scenario.window)
+        plan = scenario.plan(machine, target, *window)
     report = SoakReport(
-        seed=seed,
-        requests=requests,
-        fault_window=window if fault else None,
-        plan_text=plan.describe(),
-    )
-
-    traffic = build_traffic(registry, machine, target, requests)
-    active: frozenset = frozenset()
-    for line in traffic:
-        now = clock()
-        live = frozenset(f.describe() for f in plan.topology_faults_at(now))
-        if live != active:
-            if live:
-                backend.set_machine(plan.apply(machine, at_s=now))
-            else:
-                backend.restore_machine()
-            active = live
-        response = service.handle_line(line)
-        report.responses.append(response)
-        payload = json.loads(response)
-        if "error" in payload:
-            kind = payload["error"]["kind"]
-            report.errors[kind] = report.errors.get(kind, 0) + 1
-        else:
-            tier = payload["result"].get("tier")
-            if tier is not None:
-                report.tiers[tier] = report.tiers.get(tier, 0) + 1
-            if payload["result"].get("degraded"):
-                report.degraded += 1
-            else:
-                report.ok += 1
-        clock.advance()
-    report.breaker_transitions = list(breaker.transitions)
-    report.final_breaker_state = breaker.state
-    service._drain_obs()  # fold the tail of the trace before reading
-    report.counters = {
-        k: service.live.counters[k] for k in sorted(service.live.counters)
-    }
-    if service.drift is not None:
-        report.drift = service.drift.stats()
-    return report
-
-
-@dataclass
-class ConvergenceReport:
-    """What the self-healing convergence soak observed, JSON-able.
-
-    The story the numbers must tell: derate fires → the supervisor
-    quarantines the blast radius → requests get labelled ``repairing``
-    answers → background repair re-characterizes and promotes → the
-    service is back on tiers 1–2 *under the faulted machine* → the
-    fault clears → the faulted-era entries are re-quarantined, repaired
-    again, and the service re-converges on the healthy model — with
-    zero unlabelled stale answers anywhere in the trace.
-    """
-
-    seed: int
-    requests: int
-    fault_window: tuple[float, float]
-    plan_text: str
-    responses: list[str] = field(default_factory=list)
-    ok: int = 0
-    degraded: int = 0
-    repairing: int = 0
-    tiers: dict[int, int] = field(default_factory=dict)
-    errors: dict[str, int] = field(default_factory=dict)
-    #: Responses that were served off a quarantined or stale model
-    #: without carrying their ``degraded``/``repairing`` label — the
-    #: hard robustness contract; must be zero.
-    unlabelled_stale: int = 0
-    #: A tier-1/2 non-degraded answer was served while the fault was
-    #: live (i.e. repair promoted a faulted-fingerprint entry).
-    converged_during_fault: bool = False
-    #: Same, after the fault cleared (re-repair promoted again).
-    reconverged_after_clear: bool = False
-    repair: dict = field(default_factory=dict)
-    final_quarantined: int = 0
-    counters: dict[str, int] = field(default_factory=dict)
-    drift: "dict | None" = None
-    flight_events: list[dict] = field(default_factory=list)
-
-    @property
-    def answered(self) -> int:
-        return self.ok + self.degraded + sum(self.errors.values())
-
-    @property
-    def converged(self) -> bool:
-        """Did the loop close, honestly, both ways?"""
-        return (
-            self.converged_during_fault
-            and self.reconverged_after_clear
-            and self.unlabelled_stale == 0
-            and self.final_quarantined == 0
-            and self.repair.get("jobs", 1) == 0
-            and (self.drift or {}).get("events", 0) >= 1
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "requests": self.requests,
-            "answered": self.answered,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "repairing": self.repairing,
-            "tiers": {str(t): self.tiers[t] for t in sorted(self.tiers)},
-            "errors": {k: self.errors[k] for k in sorted(self.errors)},
-            "fault_window": list(self.fault_window),
-            "plan": self.plan_text,
-            "unlabelled_stale": self.unlabelled_stale,
-            "converged_during_fault": self.converged_during_fault,
-            "reconverged_after_clear": self.reconverged_after_clear,
-            "converged": self.converged,
-            "repair": self.repair,
-            "final_quarantined": self.final_quarantined,
-            "counters": self.counters,
-            "drift": self.drift,
-            "flight_events": self.flight_events,
-            "responses": [r.rstrip("\n") for r in self.responses],
-        }
-
-    def render(self) -> str:
-        out = [
-            f"convergence soak: {self.requests} scripted requests, "
-            f"seed {self.seed}",
-            f"  fault plan    : {self.plan_text}",
-            f"  answered      : {self.answered} "
-            f"(ok {self.ok}, degraded {self.degraded} "
-            f"of which repairing {self.repairing}, "
-            f"errors {sum(self.errors.values())})",
-            "  tiers         : " + ", ".join(
-                f"{TIER_NAMES[t]} {self.tiers.get(t, 0)}" for t in (1, 2, 3)
-            ),
-            f"  repair        : started {self.repair.get('started', 0)}, "
-            f"promoted {self.repair.get('promoted', 0)}, "
-            f"failed {self.repair.get('failed', 0)}, "
-            f"jobs left {self.repair.get('jobs', 0)}",
-            f"  drift events  : {(self.drift or {}).get('events', 0)}",
-            f"  unlabelled    : {self.unlabelled_stale} stale answers "
-            "without their label (must be 0)",
-            f"  converged     : during fault "
-            f"{str(self.converged_during_fault).lower()}, after clearance "
-            f"{str(self.reconverged_after_clear).lower()} "
-            f"-> {str(self.converged).lower()}",
-        ]
-        for event in self.flight_events:
-            tags = event.get("tags", {})
-            what = tags.get("phase", tags.get("regime", ""))
-            out.append(
-                f"    flight @ {event['t']:7.2f} s {event['kind']:<8s} "
-                f"{what}"
-            )
-        return "\n".join(out)
-
-
-def run_convergence_soak(
-    machine: Machine | None = None,
-    requests: int = 160,
-    seed: int = DEFAULT_SEED,
-    runs: int = 5,
-    derate_factor: float = 0.4,
-) -> ConvergenceReport:
-    """The end-to-end self-healing drill on the production dispatch path.
-
-    Scripted traffic runs while a derate window (still solvable, unlike
-    :func:`run_soak`'s partition) covers the middle of the trace; a
-    :class:`~repro.healing.repair.RepairSupervisor` is attached and
-    pumped once per line.  The report asserts the full loop both ways
-    — derate → drift → quarantine → repair → promote → tier-1/2
-    serving, then fault-clears → re-repair → re-converge — and counts
-    any answer served off a quarantined key without its label
-    (``unlabelled_stale``, which must be zero).
-
-    Deterministic end to end: logical clock, named RNG streams (traffic,
-    breaker jitter, repair backoff), so same-seed twins are
-    byte-identical, repair schedule included.
-    """
-    from repro.healing.repair import RepairSupervisor
-
-    if machine is None:
-        machine = reference_host()
-    # Populate the routing planes up front so every fault-window swap
-    # re-routes incrementally (RerouteStats bound the quarantine).
-    for plane in ("pio", "dma"):
-        machine.routing.populate(plane, strict=False)
-    registry = RngRegistry(seed)
-    device_nodes = sorted({d.node_id for d in machine.devices.values()})
-    target = device_nodes[0] if device_nodes else machine.node_ids[-1]
-
-    clock = LogicalClock()
-    backend = AdvisoryBackend(machine, registry=registry, runs=runs)
-    breaker = CircuitBreaker(
-        failure_threshold=2,
-        backoff=RetryPolicy(
-            max_retries=0, base_delay_s=0.8, multiplier=2.0, jitter=0.25
-        ),
-        rng=registry.stream("service/soak/breaker-jitter"),
-        clock=clock,
-    )
-    service = PlacementService(backend, breaker=breaker, clock=clock)
-    supervisor = RepairSupervisor(
-        backend,
-        retry=RetryPolicy(
-            max_retries=3, base_delay_s=0.4, multiplier=2.0, jitter=0.25
-        ),
-    ).attach(service)
-    backend.warm((target,))
-
-    duration = requests * TICK_S
-    window = (round(0.25 * duration, 3), round(0.55 * duration, 3))
-    plan = build_derate_plan(
-        machine, target, *window, factor=derate_factor
-    )
-    report = ConvergenceReport(
         seed=seed,
         requests=requests,
         fault_window=window,
@@ -520,66 +470,29 @@ def run_convergence_soak(
     active: frozenset = frozenset()
     for i, line in enumerate(traffic):
         now = clock()
-        live_faults = frozenset(
-            f.describe() for f in plan.topology_faults_at(now)
-        )
-        if live_faults != active:
-            if live_faults:
+        live = frozenset(f.describe() for f in plan.topology_faults_at(now))
+        if live != active:
+            if live:
                 backend.set_machine(plan.apply(machine, at_s=now))
             else:
                 backend.restore_machine()
-            active = live_faults
+            active = live
         # The robustness contract is judged against the quarantine
         # state the request was served under.
-        try:
-            request = json.loads(line)
-        except ValueError:
-            request = {}
-        params = request.get("params") or {}
-        quarantined_key = (
-            params.get("target"), params.get("mode", "write")
-        ) in backend.tiers.quarantined
-        response = service.handle_line(line)
-        report.responses.append(response)
-        payload = json.loads(response)
-        if "error" in payload:
-            kind = payload["error"]["kind"]
-            report.errors[kind] = report.errors.get(kind, 0) + 1
-        else:
-            result = payload["result"]
-            tier = result.get("tier")
-            if tier is not None:
-                report.tiers[tier] = report.tiers.get(tier, 0) + 1
-                if result.get("degraded"):
-                    report.degraded += 1
-                    if result.get("repairing"):
-                        report.repairing += 1
-                else:
-                    report.ok += 1
-                    if tier in (1, 2):
-                        if active:
-                            report.converged_during_fault = True
-                        elif report.converged_during_fault:
-                            report.reconverged_after_clear = True
-                if (
-                    quarantined_key
-                    and tier != 3
-                    and not result.get("degraded")
-                ):
-                    report.unlabelled_stale += 1
-                if "staleness_s" not in result:
-                    report.unlabelled_stale += 1
-            else:
-                report.ok += 1  # health/ready/metrics
+        quarantined = frozenset(backend.tiers.quarantined)
+        report.account(service.handle_line(line), quarantined, bool(active))
         # The TCP transport pumps on an interval, not per request —
         # mirror that (every 3rd tick) so quarantined keys genuinely
         # serve labelled `repairing` answers before repair lands.
-        if i % 3 == 2:
+        if supervisor is not None and i % 3 == 2:
             supervisor.pump(clock())
         clock.advance()
-    report.repair = supervisor.stats()
+    report.breaker_transitions = list(breaker.transitions)
+    report.final_breaker_state = breaker.state
+    if supervisor is not None:
+        report.repair = supervisor.stats()
     report.final_quarantined = len(backend.tiers.quarantined)
-    service._drain_obs()
+    service._drain_obs()  # fold the tail of the trace before reading
     report.counters = {
         k: service.live.counters[k] for k in sorted(service.live.counters)
     }

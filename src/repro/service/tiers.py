@@ -25,7 +25,8 @@ This module is the explicit answer hierarchy:
   tracking.
 * **Tier 3 — solver tier**.  The existing full characterization
   (in-process or ``--solver-pool``), which refreshes tiers 1–2 on every
-  completed solve.
+  completed solve; its answers are the tier-2 payloads of an entry
+  built from the solved model (:meth:`TierEntry.build`).
 
 Every tiered answer is stamped ``{"tier": 1|2|3, "staleness_s": ...}``
 (:func:`stamp_tier`); staleness is measured on the service clock, so
@@ -241,6 +242,36 @@ class TierEntry:
         default=None, repr=False, compare=False
     )
 
+    @classmethod
+    def build(
+        cls,
+        snapshot,
+        model: IOPerformanceModel,
+        machine: Machine,
+        fingerprint: str,
+        now: float,
+    ) -> "TierEntry":
+        """The entry for one completed solve of ``model`` on ``machine``.
+
+        Tier-3 answers are this entry's payloads too: the solver path
+        builds one from the solved model, so the fast tiers and the
+        solve share one payload implementation.
+        """
+        avgs = snapshot.class_avgs()
+        mean = sum(avgs.values()) / len(avgs) if avgs else 0.0
+        return cls(
+            snapshot=snapshot,
+            fit=AnalyticFit.fit(model),
+            values=dict(model.values),
+            core_counts={
+                n: machine.node(n).n_cores for n in model.values
+            },
+            fingerprint=fingerprint,
+            refreshed_at=now,
+            model_mean=mean,
+            drift_note=(model.target_node, model.mode, mean),
+        )
+
     def staleness(self, now: float) -> float:
         """Seconds since the entry was last refreshed by a solve."""
         return max(0.0, now - self.refreshed_at)
@@ -254,14 +285,25 @@ class TierEntry:
             memo.popitem(last=False)
         return cached
 
-    # --- tier-2 answers (exact class-model arithmetic) ---------------------
-    def _class_rows(self):
-        return self.snapshot.classes  # (rank, node_ids, avg, lo, hi) rows
+    def answer(self, method: str, params: dict) -> "dict | None":
+        """``method``'s class-model payload for validated ``params``.
 
+        ``predict_eq1`` is the exact snapshot mixture (``None`` when a
+        stream node is off-model), not the tier-1 fit.
+        """
+        if method == "advise":
+            return self.advise_payload(
+                params["tasks"], params["avoid_irq_node"], params["tolerance"]
+            )
+        if method == "classify":
+            return self.classify_payload()
+        return self.predict_payload(params["streams"])
+
+    # --- tier-2 answers (exact class-model arithmetic) ---------------------
     def advise_payload(
         self, tasks: int, avoid_irq_node: bool, tolerance: float
     ) -> dict:
-        """Class-aware placement, bit-identical to the tier-3 advisor.
+        """Class-aware placement, bit-identical to the library advisor.
 
         Reproduces :class:`~repro.core.scheduler_advisor.PlacementAdvisor`
         exactly — equivalence within ``tolerance`` of the best class,
@@ -277,7 +319,7 @@ class TierEntry:
         ranks = set(self.snapshot.equivalent_classes(tolerance))
         nodes: list[int] = []
         for rank, node_ids, _avg, _lo, _hi in sorted(
-            self._class_rows(), key=lambda row: -avgs[row[0]]
+            self.snapshot.classes, key=lambda row: -avgs[row[0]]
         ):
             if rank in ranks:
                 nodes.extend(node_ids)
@@ -415,23 +457,12 @@ class TierStore:
         now: float,
     ) -> TierEntry:
         """Fold one completed tier-3 solve into the store."""
-        previous = self.entries.get((model.target_node, model.mode))
-        avgs = snapshot.class_avgs()
-        mean = sum(avgs.values()) / len(avgs) if avgs else 0.0
-        entry = TierEntry(
-            snapshot=snapshot,
-            fit=AnalyticFit.fit(model),
-            values=dict(model.values),
-            core_counts={
-                n: machine.node(n).n_cores for n in model.values
-            },
-            fingerprint=fingerprint,
-            refreshed_at=now,
-            solves=(previous.solves + 1) if previous is not None else 1,
-            model_mean=mean,
-            drift_note=(model.target_node, model.mode, mean),
-        )
-        self.entries[(model.target_node, model.mode)] = entry
+        key = (model.target_node, model.mode)
+        entry = TierEntry.build(snapshot, model, machine, fingerprint, now)
+        previous = self.entries.get(key)
+        if previous is not None:
+            entry.solves = previous.solves + 1
+        self.entries[key] = entry
         self.refreshes += 1
         return entry
 

@@ -119,6 +119,14 @@ class TestServeCli:
         assert rc == 0
         assert payload["answered"] == payload["requests"] == 60
 
+    def test_converge_and_no_fault_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--soak", "--converge", "--no-fault"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "not allowed with argument" in err
+
     def test_machine_file_round_trip(self, tmp_path, monkeypatch, capsys, host):
         from repro.topology.serialize import machine_to_dict
 

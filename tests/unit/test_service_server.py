@@ -232,6 +232,38 @@ class TestAsyncTransport:
         answered = {first["id"]: first, second["id"]: second}
         assert answered[2]["error"]["kind"] == "deadline_exceeded"
 
+    @pytest.mark.parametrize("size", [64 * 1024 + 1, 300 * 1024])
+    def test_oversized_line_is_typed_and_connection_survives(
+        self, service, size
+    ):
+        async def run():
+            server = AsyncPlacementServer(
+                service, ServiceConfig(port=0, queue_limit=8, workers=2)
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            oversized = line("health", {"pad": "x" * size}, req_id=1)
+            writer.write((oversized + "\n").encode())
+            writer.write((line("health", req_id=2) + "\n").encode())
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            second = json.loads(await reader.readline())
+            writer.write_eof()  # the server closes its side on EOF ...
+            rest = await reader.read()  # ... with nothing else to say
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return first, second, rest
+
+        first, second, rest = asyncio.run(run())
+        assert first["id"] is None
+        assert first["error"]["code"] == -32600
+        assert first["error"]["kind"] == "invalid_request"
+        assert second["id"] == 2 and second["result"]["status"] == "ok"
+        assert rest == b""
+
     def test_drain_answers_queued_work_then_refuses(self, service):
         async def run():
             server = AsyncPlacementServer(

@@ -1,11 +1,17 @@
-"""Chaos soak: totality, seed determinism, breaker recovery."""
+"""Soak engine: totality, seed determinism, breaker recovery, self-healing."""
 
 import json
 
 import pytest
 
 from repro.rng import RngRegistry
-from repro.service.soak import build_soak_plan, build_traffic, run_soak
+from repro.service.soak import (
+    DERATE_REPAIR,
+    HEALTHY,
+    build_soak_plan,
+    build_traffic,
+    run_soak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +61,7 @@ class TestRecovery:
         assert report.final_breaker_state == "closed"
 
     def test_healthy_twin_never_trips(self):
-        healthy = run_soak(requests=40, runs=3, fault=False)
+        healthy = run_soak(requests=40, runs=3, scenario=HEALTHY)
         assert not healthy.tripped
         assert healthy.degraded == 0
         assert healthy.answered == healthy.requests
@@ -68,6 +74,11 @@ class TestRecovery:
         assert len(plan.topology_faults_at(1.5)) == len(plan)
         assert plan.topology_faults_at(2.5) == ()
 
+    def test_partition_runs_no_repair_loop(self, report):
+        assert report.repair == {} and report.repairing == 0
+        assert report.unlabelled_stale == 0
+        assert not report.converged
+
     def test_render_is_deterministic(self, report):
         assert report.render() == report.render()
 
@@ -77,9 +88,7 @@ class TestConvergenceSoak:
 
     @pytest.fixture(scope="class")
     def converged(self):
-        from repro.service.soak import run_convergence_soak
-
-        return run_convergence_soak(requests=100, runs=3)
+        return run_soak(requests=100, runs=3, scenario=DERATE_REPAIR)
 
     def test_loop_closes_both_ways(self, converged):
         assert converged.answered == converged.requests
@@ -102,9 +111,7 @@ class TestConvergenceSoak:
         assert (converged.drift or {}).get("events", 0) >= 1
 
     def test_twin_runs_are_byte_identical(self, converged):
-        from repro.service.soak import run_convergence_soak
-
-        twin = run_convergence_soak(requests=100, runs=3)
+        twin = run_soak(requests=100, runs=3, scenario=DERATE_REPAIR)
         assert json.dumps(twin.to_dict(), sort_keys=True) == json.dumps(
             converged.to_dict(), sort_keys=True
         )

@@ -4,17 +4,20 @@ import math
 
 import pytest
 
+from repro.cli.commands import _MACHINES
 from repro.core.iomodel import IOModelBuilder
 from repro.core.scheduler_advisor import PlacementAdvisor
 from repro.rng import RngRegistry
 from repro.service import AdvisoryBackend, PlacementService
-from repro.service.soak import LogicalClock, run_soak
+from repro.service.backend import ClassSnapshot
+from repro.service.soak import HEALTHY, LogicalClock, run_soak
 from repro.service.tiers import (
     TIER_ANALYTIC,
     TIER_CLASS,
     TIER_SOLVE,
     AnalyticFit,
     stamp_tier,
+    wire_gbps,
 )
 
 
@@ -97,6 +100,88 @@ class TestTierTwoBitIdentity:
         assert cold["tier"] == 3 and warm["tier"] == 2
         assert warm["classes"] == cold["classes"]
         assert warm["values"] == cold["values"]
+
+    @pytest.mark.parametrize("name", sorted(_MACHINES))
+    @pytest.mark.parametrize("mode", ["write", "read"])
+    def test_tier_three_is_the_fast_tier_payload(self, name, mode):
+        """One payload implementation: tiers differ only in their tags.
+
+        On every built-in machine, each method's tier-3 answer equals
+        the tier-2 answer (``predict_eq1``: the last-good exact
+        mixture) except for ``tier``, ``staleness_s`` and ``source``.
+        The tier-3 answer is also checked against references built
+        straight from the solved model: the library advisor for
+        ``advise``, ``ClassSnapshot`` plus the per-node values for
+        ``classify`` and the ``class_of`` Eq. 1 mixture for
+        ``predict_eq1``.
+        """
+        machine = _MACHINES[name]()
+        devices = sorted({d.node_id for d in machine.devices.values()})
+        target = devices[0] if devices else machine.node_ids[-1]
+        nodes = list(machine.node_ids)
+        streams = [nodes[0], nodes[-1], nodes[1]]
+        requests = {
+            "advise": {"target": target, "mode": mode, "tasks": 5,
+                       "avoid_irq_node": True, "tolerance": 0.05},
+            "predict_eq1": {"target": target, "mode": mode,
+                            "streams": streams},
+            "classify": {"target": target, "mode": mode},
+        }
+        tags = ("tier", "staleness_s", "source")
+        for method, params in requests.items():
+            backend = AdvisoryBackend(
+                machine, registry=RngRegistry(), runs=3, clock=LogicalClock()
+            )
+            solved = getattr(backend, method)(**params)
+            assert solved["tier"] == TIER_SOLVE
+            assert solved["source"] == "characterization"
+            assert solved["degraded"] is False
+            model = backend.model(target, mode)
+            if method == "advise":
+                plan = PlacementAdvisor(machine, model, tolerance=0.05).advise(
+                    5, avoid_irq_node=True
+                )
+                assert solved["stream_nodes"] == plan.stream_nodes()
+                assert tuple(solved["classes_used"]) == plan.classes_used
+                assert solved["tasks_per_node"] == {
+                    str(n): c
+                    for n, c in sorted(plan.tasks_per_node.items()) if c
+                }
+            elif method == "classify":
+                expected = ClassSnapshot.from_model(model).to_dict()
+                expected["values"] = {
+                    str(n): wire_gbps(v)
+                    for n, v in sorted(model.values.items())
+                }
+                assert {
+                    k: v for k, v in solved.items()
+                    if k not in tags and k != "degraded"
+                } == expected
+            else:
+                ranks = [model.class_of(n).rank for n in streams]
+                avgs = {c.rank: c.avg for c in model.classes}
+                shares = {
+                    r: ranks.count(r) / len(ranks) for r in dict.fromkeys(ranks)
+                }
+                assert solved["predicted_gbps"] == wire_gbps(
+                    sum(share * avgs[r] for r, share in shares.items())
+                )
+                assert solved["class_fractions"] == {
+                    str(r): wire_gbps(shares[r]) for r in sorted(shares)
+                }
+                assert solved["streams"] == streams
+            backend.clock.advance(1.0)
+            if method == "predict_eq1":
+                fast = backend.degraded_answer(method, params)
+                assert fast.pop("degraded") is True
+                solved.pop("degraded")
+            else:
+                fast = getattr(backend, method)(**params)
+                assert fast["tier"] == TIER_CLASS
+            assert fast["staleness_s"] == 1.0
+            assert {k: v for k, v in solved.items() if k not in tags} == {
+                k: v for k, v in fast.items() if k not in tags
+            }
 
 
 class TestTierDispatch:
@@ -182,7 +267,7 @@ class TestHealthAndSoakReporting:
     def test_soak_report_counts_tiers(self):
         import json
 
-        report = run_soak(requests=40, runs=3, fault=False)
+        report = run_soak(requests=40, runs=3, scenario=HEALTHY)
         # Every tiered result is counted; health/ready carry no tier.
         untiered = sum(
             1 for r in report.responses
