@@ -14,13 +14,14 @@ attempt so the failure is demonstrable:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import stats
 
 from repro.bench.results import BandwidthMatrix
+from repro.core.validation import spearman_rho
 from repro.errors import ModelError
 from repro.topology.distance import hop_matrix
 from repro.topology.machine import Machine
@@ -37,6 +38,11 @@ class CandidateScore:
     violations: int  # ordered pairs where more hops gave MORE bandwidth
 
 
+def _rank_key(score: CandidateScore) -> tuple[bool, float]:
+    """Order by rho, with an undefined (``nan``) rho below every number."""
+    return (not math.isnan(score.spearman_rho), score.spearman_rho)
+
+
 @dataclass(frozen=True)
 class InferenceReport:
     """Outcome of the inference attempt."""
@@ -48,7 +54,7 @@ class InferenceReport:
     @property
     def best(self) -> CandidateScore:
         """The least-bad candidate."""
-        return max(self.scores, key=lambda s: s.spearman_rho)
+        return max(self.scores, key=_rank_key)
 
     def conclusive(self, rho_threshold: float = 0.95) -> bool:
         """True if some candidate explains the data well AND the data
@@ -59,7 +65,7 @@ class InferenceReport:
     def render(self) -> str:
         """Scores plus the verdict."""
         lines = ["Topology inference from bandwidth matrix:"]
-        for s in sorted(self.scores, key=lambda s: -s.spearman_rho):
+        for s in sorted(self.scores, key=_rank_key, reverse=True):
             lines.append(
                 f"  {s.name:24s} rho={s.spearman_rho:+.3f}  "
                 f"hop-order violations={s.violations}"
@@ -89,7 +95,7 @@ def _score_candidate(
         for j in range(n):
             hop_list.append(hops[i, j])
             bw_list.append(matrix.values[i, j])
-    rho = float(stats.spearmanr(-np.array(hop_list), bw_list).statistic)
+    rho = spearman_rho(-np.array(hop_list), bw_list)
 
     violations = 0
     for i in range(n):

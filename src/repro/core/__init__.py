@@ -12,7 +12,9 @@
   tasks across equivalent classes (§V-B).
 * :class:`~repro.core.characterize.HostCharacterizer` — whole-host
   characterisation with probe-cost accounting.
-* :mod:`~repro.core.validation` — model-vs-measurement agreement metrics.
+* :mod:`~repro.core.validation` — model-vs-measurement agreement metrics
+  (:func:`~repro.core.validation.spearman_rho` is its numpy rank
+  correlation).
 """
 
 from repro.core.classify import PerfClass, classify_kmeans, classify_nodes
@@ -27,6 +29,7 @@ from repro.core.migration import (
 from repro.core.model import IOPerformanceModel, ModelTable, OperationRow
 from repro.core.predictor import MixturePredictor, PredictionReport
 from repro.core.scheduler_advisor import PlacementAdvisor, PlacementPlan
+from repro.core.validation import spearman_rho
 
 __all__ = [
     "PerfClass",
@@ -46,4 +49,5 @@ __all__ = [
     "OnlineWorkload",
     "PolicyOutcome",
     "StreamJob",
+    "spearman_rho",
 ]

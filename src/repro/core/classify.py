@@ -134,6 +134,8 @@ def classify_kmeans(
 
     Keeps the local/neighbour rule, clusters the remaining nodes into
     ``k - 1`` groups with 1-D k-means, and orders classes by mean.
+    Needs scipy (``scipy.cluster.vq.kmeans2``), from the ``fit`` extra:
+    ``pip install -e .[fit]``.
     """
     from scipy.cluster.vq import kmeans2
 

@@ -4,6 +4,8 @@ The paper validates its memcpy models by checking that real I/O
 operations respect the same class structure (Tables IV/V) — not that
 absolute numbers match.  These metrics quantify that:
 
+* :func:`spearman_rho` — Spearman rank correlation of two samples in
+  plain numpy (average ranks for ties, then Pearson on the ranks);
 * :func:`rank_correlation` — Spearman correlation between two per-node
   bandwidth maps (how well one model predicts another's ordering);
 * :func:`class_ordering_holds` — do the measured class averages decrease
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from repro.core.model import IOPerformanceModel
 from repro.errors import ModelError
 
 __all__ = [
+    "spearman_rho",
     "rank_correlation",
     "class_ordering_holds",
     "class_separation",
@@ -34,13 +36,44 @@ __all__ = [
 ]
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="mergesort")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def spearman_rho(a, b) -> float:
+    """Spearman rank correlation of two equal-length 1-D samples.
+
+    Average ranks (ties share their mean rank), then the Pearson
+    correlation of the ranks — the same steps, in the same array layout,
+    as ``scipy.stats.spearmanr``, so the two agree bit for bit.  Returns
+    ``nan`` when either sample is constant, contains ``nan`` or has
+    fewer than two values (the correlation is undefined).
+    """
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"need two equal-length 1-D samples, got {x.shape} and {y.shape}")
+    if x.size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    if (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    ranked = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def rank_correlation(a: Mapping[int, float], b: Mapping[int, float]) -> float:
     """Spearman rho between two per-node bandwidth maps (common keys)."""
     keys = sorted(set(a) & set(b))
     if len(keys) < 3:
         raise ModelError(f"need >= 3 common nodes for a rank correlation, got {len(keys)}")
-    rho = stats.spearmanr([a[k] for k in keys], [b[k] for k in keys]).statistic
-    return float(rho)
+    return spearman_rho([a[k] for k in keys], [b[k] for k in keys])
 
 
 def class_ordering_holds(

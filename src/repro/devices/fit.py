@@ -9,6 +9,8 @@ DMA paths, recover the deficit curve
 :func:`fit_response_curve` solves the bounded least-squares problem
 with :mod:`scipy.optimize`; :func:`fit_engine_profile` wraps the result
 into a ready-to-attach :class:`~repro.devices.response.EngineProfile`.
+scipy is imported only when a fit runs; it ships with the ``fit`` extra
+(``pip install -e .[fit]``), so importing this module stays numpy-only.
 The calibration recipe in ``docs/calibration.md`` §4 is exactly this
 function run by hand.
 """
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from repro.devices.response import EngineProfile, ResponseCurve
 from repro.errors import DeviceError
@@ -54,6 +55,9 @@ def fit_response_curve(
 ) -> CurveFit:
     """Fit ``(cap, beta, gamma)`` to per-node (path, bandwidth) samples.
 
+    Needs scipy (``scipy.optimize.least_squares``), from the ``fit``
+    extra: ``pip install -e .[fit]``.
+
     Parameters
     ----------
     path_gbps:
@@ -72,6 +76,8 @@ def fit_response_curve(
         With fewer than three distinct path levels (the curve has three
         parameters).
     """
+    from scipy import optimize
+
     common = sorted(set(path_gbps) & set(measured_gbps))
     if len(common) < 3:
         raise DeviceError(
@@ -138,7 +144,8 @@ def fit_engine_profile(
     fits the curve (``path_ref_gbps`` anchors saturation, defaulting as
     in :func:`fit_response_curve`), and returns an
     :class:`EngineProfile` carrying it (remaining profile parameters
-    pass through ``profile_kwargs``).
+    pass through ``profile_kwargs``).  Needs scipy, like
+    :func:`fit_response_curve`: ``pip install -e .[fit]``.
     """
     if direction == "write":
         paths = {n: machine.dma_path_gbps(n, device_node) for n in machine.node_ids}

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.topology_inference import (
+    CandidateScore,
+    InferenceReport,
     infer_topology,
     metric_consistency,
 )
@@ -69,3 +71,18 @@ class TestInference:
         text = infer_topology(_matrix_from_hops(variant_a)).render()
         assert "verdict" in text
         assert "CONCLUSIVE" in text
+
+    def test_nan_score_ranks_last(self):
+        # A constant candidate has an undefined rho; it must not win.
+        report = InferenceReport(
+            scores=(
+                CandidateScore(name="flat", spearman_rho=float("nan"), violations=0),
+                CandidateScore(name="good", spearman_rho=0.97, violations=0),
+            ),
+            asymmetry=0.0,
+            metric_consistent=True,
+        )
+        assert report.best.name == "good"
+        assert report.conclusive()
+        lines = report.render().splitlines()
+        assert "good" in lines[1] and "flat" in lines[2]

@@ -1,5 +1,9 @@
 """Model-agreement metrics."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.core.iomodel import IOModelBuilder
@@ -7,6 +11,7 @@ from repro.core.validation import (
     class_ordering_holds,
     class_separation,
     rank_correlation,
+    spearman_rho,
     validate_model,
 )
 from repro.errors import ModelError
@@ -35,6 +40,59 @@ class TestRankCorrelation:
     def test_too_few_keys_rejected(self):
         with pytest.raises(ModelError):
             rank_correlation({0: 1.0}, {0: 1.0})
+        with pytest.raises(ModelError):  # two common keys of three each
+            rank_correlation({0: 1.0, 1: 2.0, 5: 3.0}, {0: 1.0, 1: 2.0, 6: 3.0})
+
+
+def _scipy_rho(a, b):
+    """The oracle; scipy stays out of the package's import path."""
+    stats = pytest.importorskip("scipy.stats")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ConstantInputWarning
+        return stats.spearmanr(a, b).statistic
+
+
+def _seeded_samples(tied: bool):
+    rng = np.random.default_rng(20130801 + tied)
+    for _ in range(150):
+        n = int(rng.integers(3, 301))
+        if tied:
+            yield rng.integers(0, 4, size=n), rng.integers(0, 3, size=n)
+        else:
+            a = rng.normal(size=n)
+            yield a, a + rng.normal(scale=float(rng.uniform(0.05, 3.0)), size=n)
+
+
+class TestSpearmanRho:
+    """Bit-for-bit agreement with ``scipy.stats.spearmanr``."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+    def test_equals_scipy_exactly(self, tied):
+        for a, b in _seeded_samples(tied):
+            for x, y in ((a, b), (-a, b), (a, -b)):
+                ours, oracle = spearman_rho(x, y), _scipy_rho(x, y)
+                # Small tied samples can come out constant: nan on both sides.
+                assert ours == oracle or (math.isnan(ours) and math.isnan(oracle))
+
+    def test_undefined_input_is_nan_on_both_sides(self):
+        flat = np.full(12, 3.5)
+        varied = np.arange(12.0)
+        holed = np.where(varied == 5.0, np.nan, varied)
+        cases = [(flat, varied), (varied, flat), (flat, flat),
+                 (holed, varied), (varied, holed), ([1.0], [2.0])]
+        for a, b in cases:
+            assert math.isnan(spearman_rho(a, b))
+            assert math.isnan(_scipy_rho(a, b))
+
+    def test_ties_share_their_mean_rank(self):
+        # ranks (1.5, 1.5, 3) vs (1, 2, 3): Pearson on the ranks.
+        assert spearman_rho([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(
+            math.sqrt(3) / 2
+        )
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            spearman_rho([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 class TestClassOrdering:
