@@ -123,7 +123,7 @@ class JobResult:
     """Outcome of one fio job.
 
     ``solver_stats`` is a cumulative snapshot of the executing engine's
-    :class:`~repro.solver.stats.SolverStats` taken when the result was
+    :class:`~repro.obs.stats.SolverStats` taken when the result was
     produced (solve count, cache hit rate, events processed).
     """
 

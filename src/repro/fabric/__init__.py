@@ -14,11 +14,12 @@ Layers (bottom up):
   vector, hop matrix, and DMA adjacency packed once into a POSIX
   shared-memory segment keyed by its solver fingerprint; workers attach
   and map instead of unpickling.  Refcounted, crash-proof cleanup.
-* :mod:`repro.fabric.telemetry` — per-worker span/counter capture and
-  deterministic grafting back into the parent's trace recorder.
 * :mod:`repro.fabric.pool` — :class:`FabricPool`, the persistent worker
   pool that shards sweeps, runs experiment batches, and serves as the
-  placement service's process-pool solver tier.
+  placement service's process-pool solver tier.  Each worker task runs
+  under :class:`repro.obs.capture` when the parent is recording, and
+  the pool grafts the payloads back into the parent's trace in task
+  order.
 """
 
 from repro.fabric.arena import (
@@ -32,16 +33,12 @@ from repro.fabric.arena import (
 )
 from repro.fabric.pool import FabricPool
 from repro.fabric.shard import merge_draws, merge_in_order, plan_shards
-from repro.fabric.telemetry import begin_capture, end_capture, graft
 
 __all__ = [
     "FabricPool",
     "MachineArena",
     "attach",
-    "begin_capture",
-    "end_capture",
     "get_arena",
-    "graft",
     "live_segments",
     "merge_draws",
     "merge_in_order",

@@ -19,7 +19,8 @@ bit-identical to the serial run.  Three properties make that true:
 * shards are contiguous slices merged in shard order
   (:mod:`repro.fabric.shard`), so merged dicts keep serial insertion
   order and merged ledgers equal the serial ledger;
-* telemetry is capture-and-graft (:mod:`repro.fabric.telemetry`), so
+* telemetry is capture-and-graft (:class:`repro.obs.capture` in the
+  worker, :meth:`~repro.obs.TraceRecorder.graft` in the parent), so
   recording changes what is observed, never what is computed — in any
   process.
 
@@ -49,10 +50,10 @@ import os
 import signal
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 
 from repro.errors import FabricError
 from repro.fabric import arena as _arena
-from repro.fabric import telemetry as _telemetry
 from repro.fabric.shard import merge_in_order, plan_shards
 from repro.obs import recorder as _obs
 from repro.rng import DEFAULT_SEED, RngRegistry
@@ -219,13 +220,10 @@ def _worker_run(task: dict) -> dict:
         else:
             os.close(fd)
             os.kill(os.getpid(), signal.SIGKILL)
-    recorder = _telemetry.begin_capture(task["telemetry"])
-    baseline = None
-    if recorder is not None:
-        from repro.obs.stats import solver_totals
-
-        baseline = solver_totals()
-    try:
+    # A forked worker may have inherited the parent's recorder; its
+    # spans must never land in a copied parent trace.
+    _obs.uninstall()
+    with (_obs.capture() if task["telemetry"] else nullcontext()) as recorder:
         machine = (
             _resolve_machine(task["machine_ref"])
             if task.get("machine_ref") else None
@@ -233,8 +231,7 @@ def _worker_run(task: dict) -> dict:
         registry = RngRegistry(task["seed"])
         result = _run_kind(task["kind"], machine, registry, task["payload"])
         draws = registry.draw_counts
-    finally:
-        captured = _telemetry.end_capture(recorder, baseline)
+    captured = recorder.payload() if recorder is not None else None
     return {"result": result, "draws": draws, "telemetry": captured}
 
 
@@ -467,15 +464,11 @@ class FabricPool:
 
     def _merge(self, envelopes: "list[dict]", registry, label: str) -> None:
         """Fold draw ledgers and grafted telemetry back, in task order."""
-        recording = _obs.enabled()
+        recorder = _obs.get_recorder()
         for idx, env in enumerate(envelopes):
             if registry is not None and env["draws"]:
                 registry.absorb(env["draws"])
-            if recording and env.get("telemetry") is not None:
-                _telemetry.graft(
-                    _obs.get_recorder(), env["telemetry"],
-                    label=label, shard=idx,
-                )
+            recorder.graft(env["telemetry"], label, shard=idx)
 
     # --- sharded sweeps ---------------------------------------------------
     def build_many(self, machine, targets, mode: str,

@@ -124,7 +124,7 @@ class DegradedFlowRunner:
     allocator:
         Optional shared allocation cache (a session's, usually).
     stats:
-        Optional :class:`~repro.solver.stats.SolverStats` event counter.
+        Optional :class:`~repro.obs.stats.SolverStats` event counter.
     """
 
     def __init__(

@@ -60,7 +60,7 @@ class FlowNetwork:
         network owns a private cache, which already collapses the
         repeated solves of a ``simulate`` event loop.
     stats:
-        Optional :class:`~repro.solver.stats.SolverStats` that simulation
+        Optional :class:`~repro.obs.stats.SolverStats` that simulation
         events are counted into.
     """
 

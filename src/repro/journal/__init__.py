@@ -11,8 +11,8 @@ Three pieces, one contract:
   captured telemetry.  A ``kill -9`` at any byte leaves either a clean
   journal or a torn tail that resume truncates; real corruption raises
   :class:`~repro.errors.JournalError` naming the record.
-* :mod:`repro.journal.checkpoint` — replay glue: capture/graft for
-  in-process units and the journaled chaos runner.
+* :mod:`repro.journal.checkpoint` — replay glue: the journaled chaos
+  runner, which captures and grafts each in-process unit's telemetry.
 
 The contract: ``<command> --resume RUN_DIR``, interrupted anywhere and
 re-run, produces byte-identical stdout and a deterministic-twin
@@ -24,7 +24,7 @@ from repro.journal.atomic import (
     atomic_write_json,
     atomic_write_text,
 )
-from repro.journal.checkpoint import graft_unit, journaled_chaos, unit_capture
+from repro.journal.checkpoint import journaled_chaos
 from repro.journal.store import (
     CRASH_ENV,
     JOURNAL_FILENAME,
@@ -42,7 +42,5 @@ __all__ = [
     "JOURNAL_MAGIC",
     "RunJournal",
     "scan_journal",
-    "graft_unit",
     "journaled_chaos",
-    "unit_capture",
 ]

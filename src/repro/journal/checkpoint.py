@@ -1,63 +1,23 @@
 """In-process checkpointed execution: capture, journal, graft, resume.
 
-The worker fabric already captures each task's telemetry in the worker
-and grafts it back into the parent recorder deterministically
-(:mod:`repro.fabric.telemetry`).  Journaled runs need the same
-discipline for units that execute *in the parent process* (the chaos
-scenarios): each unit's spans and counters are captured into a private
-recorder while it runs, persisted in the journal record, and grafted —
-whether fresh or replayed from the journal — in unit order.  That is
-what makes a resumed run's ``--obs-dir`` manifest a deterministic twin
-of an uninterrupted one: both see the exact same sequence of grafted
-payloads.
+The worker fabric captures each task's telemetry in the worker and
+grafts it back into the parent recorder deterministically.  Journaled
+runs need the same discipline for units that execute *in the parent
+process* (the chaos scenarios): each unit's spans and counters are
+captured with :class:`repro.obs.capture` while it runs, persisted in
+the journal record, and grafted — whether fresh or replayed from the
+journal — in unit order.  That is what makes a resumed run's
+``--obs-dir`` manifest a deterministic twin of an uninterrupted one:
+both see the exact same sequence of grafted payloads.
 """
 
 from __future__ import annotations
 
-from repro.fabric import telemetry as _telemetry
+from contextlib import nullcontext
+
 from repro.obs import recorder as _obs
 
-__all__ = ["unit_capture", "graft_unit", "journaled_chaos"]
-
-
-class unit_capture:
-    """Capture one in-process unit's telemetry like a fabric worker's.
-
-    While the block runs, spans and counters land in a private recorder
-    (the parent recorder is set aside and restored on exit).  The
-    captured plain-data payload — or ``None`` when telemetry is off —
-    is left in :attr:`payload` for journaling; pass it to
-    :func:`graft_unit` to fold it back into the parent trace.
-    """
-
-    def __init__(self) -> None:
-        self.payload: dict | None = None
-        self._parent: "_obs.TraceRecorder | None" = None
-        self._recorder: "_obs.TraceRecorder | None" = None
-        self._baseline: "dict[str, int] | None" = None
-
-    def __enter__(self) -> "unit_capture":
-        self._parent = _obs.uninstall()
-        if self._parent is not None:
-            from repro.obs.metrics import MetricsRegistry
-            from repro.obs.stats import solver_totals
-
-            self._baseline = solver_totals()
-            self._recorder = _obs.TraceRecorder(MetricsRegistry())
-            _obs.install(self._recorder)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.payload = _telemetry.end_capture(self._recorder, self._baseline)
-        if self._parent is not None:
-            _obs.install(self._parent)
-        return False
-
-
-def graft_unit(payload: "dict | None", label: str, **tags) -> None:
-    """Graft one captured unit payload into the live parent recorder."""
-    if payload is not None and _obs.enabled():
-        _telemetry.graft(_obs.get_recorder(), payload, label=label, **tags)
+__all__ = ["journaled_chaos"]
 
 
 def _draw_delta(before: "dict[str, int]", after: "dict[str, int]") -> dict:
@@ -87,27 +47,24 @@ def journaled_chaos(machine, registry, scenarios: "tuple[str, ...]",
     for index, name in enumerate(scenarios):
         key = ("scenario", name)
         record = journal.get(key)
-        if record is not None:
-            registry.absorb(record["draws"])
-            graft_unit(record["telemetry"], "journal.scenario",
-                       shard=index, scenario=name)
-            results.append(record["result"])
-            continue
-        before = registry.draw_counts
-        with unit_capture() as capture:
-            result = run_scenario(
-                name, machine=machine, registry=registry, quick=quick,
-                retry=retry,
+        if record is None:
+            before = registry.draw_counts
+            with (_obs.capture() if _obs.enabled() else nullcontext()) as unit:
+                result = run_scenario(
+                    name, machine=machine, registry=registry, quick=quick,
+                    retry=retry,
+                )
+            record = journal.append(
+                key,
+                result=result,
+                draws=_draw_delta(before, registry.draw_counts),
+                telemetry=unit.payload() if unit is not None else None,
             )
-        journal.append(
-            key,
-            result=result,
-            draws=_draw_delta(before, registry.draw_counts),
-            telemetry=capture.payload,
-        )
-        graft_unit(capture.payload, "journal.scenario",
-                   shard=index, scenario=name)
-        results.append(result)
+        else:
+            registry.absorb(record["draws"])
+        _obs.get_recorder().graft(record["telemetry"], "journal.scenario",
+                                  shard=index, scenario=name)
+        results.append(record["result"])
     return ChaosReport(
         machine_name=machine.name, seed=registry.seed, results=tuple(results)
     )

@@ -1,31 +1,35 @@
-"""Unified telemetry: spans, counters and run manifests.
+"""Unified telemetry: one counter store, one capture path, run manifests.
 
 ``repro.obs`` is the observability seam of the reproduction — zero
-external dependencies, off by default, and deterministic-safe (enabling
-it never changes a computed number, only what gets recorded about the
-computation).  Three pieces:
+external dependencies and deterministic-safe (enabling it never
+changes a computed number, only what gets recorded about the
+computation).  One model:
 
+* **counters** — :class:`MetricsRegistry` is the only store of named
+  counters (a public ``counters`` dict plus ``count``).  Run telemetry
+  writes the process-wide :data:`metrics` registry through
+  :func:`count`, a no-op unless a recorder is installed; the serving
+  process's always-on :class:`LivePlane` is a registry too, extended
+  with streaming histograms (:class:`Hist`), the bounded
+  :class:`FlightRecorder` and gauge sources, with
+  :class:`NullLivePlane` as its disabled twin;
 * **spans** — :func:`span` context-manager timers with nesting and
-  tags, recorded by a :class:`TraceRecorder` (a shared no-op when no
-  recorder is installed);
-* **metrics** — the process-wide :class:`MetricsRegistry`
-  (:data:`metrics`) of named counters and gauges, written through
-  :func:`count` / :func:`gauge`;
-* **manifests** — :class:`recording` wraps a run, then writes a JSONL
-  span trace plus a validated ``manifest.json`` (git SHA, config, seed
-  registry state, per-phase timings, metric snapshot) that
-  ``repro-numa obs report`` renders and diffs.
+  tags, recorded by the installed :class:`TraceRecorder` (a shared
+  no-op when none is installed);
+* **capture** — :class:`capture` records one block of work into a
+  fresh recorder and folds the ``solver.*`` counter deltas
+  (:func:`solver_totals`) into it.  A fabric worker task, a journaled
+  unit and a whole run all use it; :meth:`TraceRecorder.payload` and
+  :meth:`TraceRecorder.graft` carry a capture back into a parent
+  trace.  :class:`recording` is the capture behind ``--obs-dir``: it
+  also writes a JSONL span trace plus a validated ``manifest.json``
+  (git SHA, config, seed registry state, per-phase timings, counter
+  snapshot) that ``repro-numa obs report`` renders and diffs.
 
-The *online* complement lives in :mod:`repro.obs.live`: always-on
-streaming histograms (:class:`Hist`), the bounded
-:class:`FlightRecorder`, the per-process :class:`LivePlane` registry,
-the :class:`DriftWatch` model-drift detector, and
-:func:`render_scrape` — the Prometheus-style exposition behind
-``repro-numa obs scrape`` / ``obs top`` / ``obs tail``.
-
-:class:`SolverStats` lives here too: the solver layer's counter surface
-is an obs-backed view (its phases emit spans), re-exported from
-:mod:`repro.solver.stats` for compatibility.
+:class:`DriftWatch` and :func:`render_scrape` (the Prometheus-style
+exposition behind ``repro-numa obs scrape`` / ``obs top`` /
+``obs tail``) read the live plane.  :class:`SolverStats` is the solver
+sessions' own counter surface; its phases emit spans.
 """
 
 from repro.obs.live import (
@@ -41,9 +45,9 @@ from repro.obs.metrics import MetricsRegistry, metrics
 from repro.obs.recorder import (
     NullRecorder,
     TraceRecorder,
+    capture,
     count,
     enabled,
-    gauge,
     get_recorder,
     install,
     recording,
@@ -83,11 +87,11 @@ __all__ = [
     "TraceRecorder",
     "span",
     "count",
-    "gauge",
     "enabled",
     "get_recorder",
     "install",
     "uninstall",
+    "capture",
     "recording",
     "MANIFEST_SCHEMA_VERSION",
     "build_manifest",

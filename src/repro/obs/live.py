@@ -23,9 +23,10 @@ cost under 5 % of serving throughput):
   events with their tags.  Dumpable on demand (``obs tail``, the
   ``metrics`` method) and automatically on breaker trip or crash,
   without waiting for process exit.
-* :class:`LivePlane` — the registry tying them together: named
-  histograms, named counters, the flight recorder, and grafted gauge
-  sources (the fabric pool's utilization counters).  The service owns
+* :class:`LivePlane` — the :class:`~repro.obs.metrics.MetricsRegistry`
+  the service counts into, extended with named histograms, the flight
+  recorder, and grafted gauge sources (the fabric pool's utilization
+  counters).  The service owns
   one plane; every duration it records is measured on the *service
   clock*, so the deterministic soak (logical clock) reads no wall
   clock anywhere and same-seed twins stay byte-identical.
@@ -50,6 +51,7 @@ from collections import Counter, deque
 from typing import Callable, Mapping
 
 from repro.obs import recorder as _obs
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "Hist",
@@ -330,17 +332,19 @@ class FlightRecorder:
         }
 
 
-class LivePlane:
+class LivePlane(MetricsRegistry):
     """The always-on online metrics registry for one serving process.
 
-    Named :class:`Hist` histograms, named integer counters, one
+    A :class:`~repro.obs.metrics.MetricsRegistry` (its ``counters``
+    dict and ``count``) plus named :class:`Hist` histograms, one
     :class:`FlightRecorder`, and grafted gauge sources — zero external
     dependencies, no background threads, no wall-clock reads of its
     own (every duration recorded into it was measured on the caller's
-    clock).  Distinct from :data:`repro.obs.metrics.metrics`: that
-    registry only fills while a :class:`~repro.obs.recorder.TraceRecorder`
-    is installed; the live plane is always on and must therefore stay
-    cheap enough to never need a switch.
+    clock).  Unlike the process-wide
+    :data:`~repro.obs.metrics.metrics` registry, which only fills while
+    a :class:`~repro.obs.recorder.TraceRecorder` is installed, the
+    live plane is always on and must therefore stay cheap enough to
+    never need a switch.
     """
 
     enabled = True
@@ -350,8 +354,8 @@ class LivePlane:
         span_capacity: int = SPAN_CAPACITY,
         event_capacity: int = EVENT_CAPACITY,
     ) -> None:
+        super().__init__()
         self.hists: dict[str, Hist] = {}
-        self.counters: dict[str, int] = {}
         self.flight = FlightRecorder(span_capacity, event_capacity)
         #: name -> zero-arg callable returning a JSON-able gauge block
         #: (the fabric pool grafts its ``stats`` here).
@@ -368,21 +372,9 @@ class LivePlane:
         """Fold ``value`` into the named histogram."""
         self.hist(name).record(value)
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to the named counter (created at zero)."""
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + n
-
     def graft_gauges(self, name: str, source: Callable[[], dict]) -> None:
         """Register a live gauge source (read at snapshot time)."""
         self.gauge_sources[name] = source
-
-    def gauges(self) -> dict:
-        """Every grafted gauge block, read now, sorted by name."""
-        return {
-            name: self.gauge_sources[name]()
-            for name in sorted(self.gauge_sources)
-        }
 
     def merged_hists(self) -> "dict[str, Hist]":
         """The exposition view of :attr:`hists`, sorted by name.
@@ -421,7 +413,10 @@ class LivePlane:
                 name: hist.to_dict()
                 for name, hist in self.merged_hists().items()
             },
-            "gauges": self.gauges(),
+            "gauges": {
+                name: self.gauge_sources[name]()
+                for name in sorted(self.gauge_sources)
+            },
             "flight_recorder": self.flight.occupancy(),
         }
 

@@ -1,12 +1,18 @@
-"""The process-wide metrics registry: named counters and gauges.
+"""The metrics registry: the one store of named counters.
 
-One :class:`MetricsRegistry` (:data:`metrics`) serves the whole process.
+:class:`MetricsRegistry` is the only class that stores named counters.
 Counters are monotonically increasing integers (cache hits, routes
-computed, faults injected, RNG draws per stream); gauges hold the last
-value written (queue depths, ratios).  Writers go through
-:func:`repro.obs.recorder.count` / :func:`~repro.obs.recorder.gauge`,
-which are no-ops unless a recorder is installed — the registry itself
-never costs anything on un-instrumented runs.
+computed, faults injected, RNG draws per stream) held in the public
+:attr:`MetricsRegistry.counters` dict and bumped through
+:meth:`MetricsRegistry.count`.  Two kinds of registry exist:
+
+* the process-wide :data:`metrics` registry a run manifest snapshots.
+  Instrumented layers write it through
+  :func:`repro.obs.recorder.count`, a no-op unless a recorder is
+  installed, so it costs nothing on un-instrumented runs;
+* the serving process's :class:`~repro.obs.live.LivePlane`, a
+  registry subclass that is always on and adds histograms, the flight
+  recorder and gauge sources.
 
 Names are free-form strings, conventionally ``"<subsystem>.<what>"``
 (``"routing.route.cached"``) with ``/``-suffixed instances where a
@@ -19,57 +25,33 @@ __all__ = ["MetricsRegistry", "metrics"]
 
 
 class MetricsRegistry:
-    """Named counters and gauges with a JSON-ready snapshot."""
-
-    __slots__ = ("_counters", "_gauges")
+    """Named integer counters with a JSON-ready snapshot."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
+        self.counters: dict[str, int] = {}
 
-    # --- writers ----------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to counter ``name`` (created at zero)."""
-        counters = self._counters
+        counters = self.counters
         counters[name] = counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        self._gauges[name] = value
-
-    # --- readers ----------------------------------------------------------
-    def counter(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never written)."""
-        return self._counters.get(name, 0)
-
-    def counters(self, prefix: str = "") -> dict[str, int]:
-        """All counters whose name starts with ``prefix``, sorted by name."""
-        return {
-            name: self._counters[name]
-            for name in sorted(self._counters)
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> dict:
-        """A plain-dict copy: ``{"counters": {...}, "gauges": {...}}``."""
+        """A plain-dict copy: ``{"counters": {...}, "gauges": {}}``.
+
+        ``gauges`` is always empty; it stays so manifest schema v1
+        reads and diffs the same as before.
+        """
         return {
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "gauges": {},
         }
 
     def reset(self) -> None:
-        """Drop every counter and gauge (recording start / tests)."""
-        self._counters.clear()
-        self._gauges.clear()
-
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges)
+        """Drop every counter (recording start / tests)."""
+        self.counters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MetricsRegistry({len(self._counters)} counters, "
-            f"{len(self._gauges)} gauges)"
-        )
+        return f"{type(self).__name__}({len(self.counters)} counters)"
 
 
 #: The process-wide registry every instrumented layer writes into.

@@ -1,12 +1,18 @@
 """Span recording: hierarchical context-manager timers with a no-op fast path.
 
 Telemetry is **off by default**: :func:`span` hands back a shared
-stateless null context manager and :func:`count`/:func:`gauge` return
-immediately, so instrumented hot paths pay one module-global read and a
-``None`` check.  Installing a :class:`TraceRecorder` (usually via
-:func:`recording`) turns every instrumentation point live: spans append
-events carrying wall time, nesting depth and tags, and counters land in
-the process-wide :data:`~repro.obs.metrics.metrics` registry.
+stateless null context manager and :func:`count` returns immediately,
+so instrumented hot paths pay one module-global read and a ``None``
+check.  Installing a :class:`TraceRecorder` turns every
+instrumentation point live: spans append events carrying wall time,
+nesting depth and tags, and counters land in the recorder's
+:class:`~repro.obs.metrics.MetricsRegistry`.
+
+:class:`capture` is the one way a block of work gets its own
+recording — a fabric worker's task, a journaled unit, a whole
+``--obs-dir`` run (:class:`recording`).  Its plain-data
+:meth:`TraceRecorder.payload` crosses process and journal boundaries
+and :meth:`TraceRecorder.graft` splices it back into a parent trace.
 
 Spans never touch the simulation's random streams or its outputs —
 enabling a recorder changes what is *observed*, never what is computed,
@@ -27,11 +33,11 @@ __all__ = [
     "TraceRecorder",
     "span",
     "count",
-    "gauge",
     "enabled",
     "get_recorder",
     "install",
     "uninstall",
+    "capture",
     "recording",
 ]
 
@@ -68,6 +74,9 @@ class NullRecorder:
     def span(self, name: str, tags: Mapping | None = None) -> _NullSpan:
         """A span that times nothing."""
         return _NULL_SPAN
+
+    def graft(self, payload: "dict | None", label: str, **tags) -> None:
+        """Discard a captured payload (nothing is recording)."""
 
 
 class _LiveSpan:
@@ -120,6 +129,8 @@ class TraceRecorder:
         self.events: list[dict] = []
         self._stack: list[int] = []
         self._t0 = time.perf_counter()
+        # solver_totals() already accounted for; set by capture.
+        self._solver_base: dict[str, int] = {}
 
     def span(self, name: str, tags: Mapping | None = None) -> _LiveSpan:
         """A live span; use as a context manager."""
@@ -156,6 +167,55 @@ class TraceRecorder:
             entry["count"] += 1
             entry["wall_s"] += event.get("wall_s", 0.0)
         return {name: totals[name] for name in sorted(totals)}
+
+    def payload(self) -> dict:
+        """This recording as plain data: span events plus counters."""
+        return {
+            "events": self.events,
+            "counters": self.metrics.snapshot()["counters"],
+        }
+
+    def graft(self, payload: "dict | None", label: str, **tags) -> None:
+        """Splice a captured :meth:`payload` into this recording.
+
+        Counters add in name order.  The payload's spans land under a
+        synthetic ``label`` container span at the current nesting
+        depth, renumbered, re-parented and offset to the container's
+        start.  Grafting payloads in task order gives the same span
+        names, nesting and counter totals as a serial run; only wall
+        times differ.  A ``None`` payload is a no-op.
+        """
+        if payload is None:
+            return
+        counters = payload["counters"]
+        for name in sorted(counters):
+            self.metrics.count(name, counters[name])
+        events = payload["events"]
+        if not events:
+            return
+        base = len(self.events)
+        depth = len(self._stack)
+        container = {
+            "name": label,
+            "tags": dict(tags),
+            "seq": base,
+            "parent": self._stack[-1] if self._stack else None,
+            "depth": depth,
+            "start_s": time.perf_counter() - self._t0,
+            "wall_s": max(
+                e["start_s"] + e.get("wall_s", 0.0) for e in events
+            ),
+        }
+        self.events.append(container)
+        for event in events:
+            grafted = dict(event)
+            grafted["seq"] = event["seq"] + base + 1
+            grafted["parent"] = (
+                base if event["parent"] is None else event["parent"] + base + 1
+            )
+            grafted["depth"] = event["depth"] + depth + 1
+            grafted["start_s"] = container["start_s"] + event["start_s"]
+            self.events.append(grafted)
 
     def write_trace(self, path) -> None:
         """Write the event list as JSONL (one span per line, seq order).
@@ -217,14 +277,56 @@ def count(name: str, n: int = 1) -> None:
         recorder.metrics.count(name, n)
 
 
-def gauge(name: str, value: float) -> None:
-    """Set gauge ``name`` — no-op unless recording."""
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.metrics.gauge(name, value)
+class capture:
+    """Record one block of work into a fresh :class:`TraceRecorder`.
+
+    On entry the installed recorder (if any) is set aside, a new
+    recorder over ``registry`` (a private
+    :class:`~repro.obs.metrics.MetricsRegistry` by default) is
+    installed and returned, and the solver-session counters are
+    snapshotted.  On exit, even on error, the ``solver.*`` deltas are
+    folded into the new registry, the set-aside recorder's own solver
+    baseline advances by the same deltas (so that work reaches it once,
+    through :meth:`TraceRecorder.graft`, not twice), and the set-aside
+    recorder is reinstalled.  Read :meth:`TraceRecorder.payload` after
+    the block to carry the recording across a process or journal
+    boundary.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.recorder: TraceRecorder | None = None
+        self._outer: TraceRecorder | None = None
+
+    def __enter__(self) -> TraceRecorder:
+        from repro.obs.stats import solver_totals
+
+        self._outer = uninstall()
+        self.recorder = TraceRecorder(self.registry)
+        self.recorder._solver_base = solver_totals()
+        install(self.recorder)
+        return self.recorder
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        from repro.obs.stats import solver_totals
+
+        outer, base = self._outer, self.recorder._solver_base
+        try:
+            uninstall()
+            for name, total in solver_totals().items():
+                delta = total - base.get(name, 0)
+                if delta:
+                    self.registry.count(f"solver.{name}", delta)
+                    if outer is not None:
+                        outer_base = outer._solver_base
+                        outer_base[name] = outer_base.get(name, 0) + delta
+        finally:
+            if outer is not None:
+                install(outer)
+        return False
 
 
-class recording:
+class recording(capture):
     """Record one run into ``obs_dir``: a JSONL trace plus a manifest.
 
     Context manager used by the CLI's ``--obs-dir`` plumbing (and usable
@@ -233,11 +335,12 @@ class recording:
         with recording("/tmp/obs", command="experiment", argv=["f10"]):
             run_experiment("f10")
 
-    On entry it resets the process metrics registry, snapshots the
-    solver-session counter baseline, and installs a fresh
-    :class:`TraceRecorder`; on exit (even on error) it folds the solver
-    counter deltas into the metrics registry, then writes
-    ``trace.jsonl`` and ``manifest.json`` under ``obs_dir``.
+    A :class:`capture` into the process-wide
+    :data:`~repro.obs.metrics.metrics` registry, reset on entry; on
+    exit (even on error) it writes ``trace.jsonl`` and
+    ``manifest.json`` under ``obs_dir``.  Recordings do not nest: with
+    a recorder already installed, entry raises
+    :class:`~repro.errors.ObsError` and leaves the registry untouched.
     """
 
     def __init__(
@@ -248,36 +351,26 @@ class recording:
         seed: int | None = None,
         config: Mapping | None = None,
     ) -> None:
+        super().__init__(metrics)
         self.obs_dir = obs_dir
         self.command = command
         self.argv = list(argv) if argv is not None else []
         self.seed = seed
         self.config = dict(config) if config else {}
-        self.recorder: TraceRecorder | None = None
-        self._solver_baseline: dict[str, int] = {}
 
     def __enter__(self) -> TraceRecorder:
-        from repro.obs.stats import solver_totals
-
+        if enabled():
+            raise ObsError("a telemetry recorder is already installed")
         metrics.reset()
-        self._solver_baseline = solver_totals()
-        self.recorder = TraceRecorder(metrics)
-        install(self.recorder)
-        return self.recorder
+        return super().__enter__()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         import pathlib
 
         from repro.obs.manifest import build_manifest, write_manifest
-        from repro.obs.stats import solver_totals
 
-        uninstall()
+        super().__exit__(exc_type, exc, tb)
         recorder = self.recorder
-        assert recorder is not None
-        for name, total in solver_totals().items():
-            delta = total - self._solver_baseline.get(name, 0)
-            if delta:
-                metrics.count(f"solver.{name}", delta)
         outdir = pathlib.Path(self.obs_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         recorder.write_trace(outdir / "trace.jsonl")

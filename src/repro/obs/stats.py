@@ -10,8 +10,9 @@ counter surface on every
   ``solver.allocate`` / ``solver.simulate``) whenever a recorder is
   installed, so per-phase timing lands in the trace with full nesting;
 * :func:`solver_totals` sums the counters of every live session, which
-  is how run manifests fold ``solver.*`` counters into the metrics
-  registry without double-counting on the hot path.
+  is how :class:`~repro.obs.recorder.capture` folds ``solver.*``
+  counters into its registry while sessions keep bumping plain
+  attributes on the hot path.
 
 Counters are cumulative over the session's lifetime; callers that want
 per-run numbers snapshot before and after and subtract, or simply attach
@@ -149,9 +150,10 @@ class SolverStats:
 def solver_totals() -> dict[str, int]:
     """Counter totals summed across every live solver session.
 
-    The manifest writer snapshots this at recording start and end and
-    folds the deltas into the metrics registry as ``solver.<counter>``,
-    so sessions keep bumping plain attributes on the hot path.
+    :class:`~repro.obs.recorder.capture` snapshots this on entry and
+    exit and folds the deltas into its registry as
+    ``solver.<counter>``, so sessions keep bumping plain attributes on
+    the hot path.
     """
     from repro.solver.session import _SESSIONS
 

@@ -12,7 +12,7 @@ once for everyone:
   (:class:`~repro.solver.incremental.AllocationCache`) that memoizes
   allocations by the active-flow *multiset* and solves cold cases with a
   vectorized numpy water-filling loop over signature groups;
-* a **stats surface** (:class:`~repro.solver.stats.SolverStats`)
+* a **stats surface** (:class:`~repro.obs.stats.SolverStats`)
   counting solves, cache hits/misses, simulation events and per-phase
   wall time, exposed on engine results and via ``repro-numa stats``.
 
@@ -40,7 +40,7 @@ _LAZY = {
     "SolverSession": ("repro.solver.session", "SolverSession"),
     "get_session": ("repro.solver.session", "get_session"),
     "reset_sessions": ("repro.solver.session", "reset_sessions"),
-    "SolverStats": ("repro.solver.stats", "SolverStats"),
+    "SolverStats": ("repro.obs.stats", "SolverStats"),
     "AllocationCache": ("repro.solver.incremental", "AllocationCache"),
     "build_capacities": ("repro.solver.capacity", "build_capacities"),
     "machine_fingerprint": ("repro.solver.capacity", "machine_fingerprint"),

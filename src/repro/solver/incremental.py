@@ -71,7 +71,7 @@ class AllocationCache:
     maxsize:
         LRU bound on memoized allocation problems.
     stats:
-        Optional :class:`~repro.solver.stats.SolverStats` to count
+        Optional :class:`~repro.obs.stats.SolverStats` to count
         solves and cache hits/misses into.
     """
 

@@ -27,9 +27,9 @@ from typing import Iterable, Mapping
 
 from repro.errors import SimulationError
 from repro.flows.network import FlowNetwork, FlowOutcome
+from repro.obs.stats import SolverStats
 from repro.solver.capacity import build_capacities, machine_fingerprint
 from repro.solver.incremental import AllocationCache
-from repro.solver.stats import SolverStats
 
 __all__ = ["SolverSession", "get_session", "reset_sessions"]
 

@@ -4,70 +4,87 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fabric.telemetry import begin_capture, end_capture, graft
+from repro.fabric.pool import _worker_run
 from repro.obs import recorder as _obs
 from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
-def _clean_recorder():
+def _clean_recorder(monkeypatch):
+    # _worker_run arms its one-shot stall check on first call; keep
+    # that worker-only flag out of this process's state.
+    monkeypatch.setattr("repro.fabric.pool._WORKER_STALLED", True)
     _obs.uninstall()
     yield
     _obs.uninstall()
 
 
+def _ping(telemetry: bool) -> dict:
+    """One real worker task envelope, run in this process."""
+    return _worker_run({"kind": "ping", "machine_ref": None, "seed": 1,
+                        "telemetry": telemetry, "payload": {}})
+
+
 def _capture_task():
     """One simulated worker task: nested spans plus counters."""
-    recorder = begin_capture(True)
-    with _obs.span("task.outer", shard=0):
-        _obs.count("task.items", 3)
-        with _obs.span("task.inner"):
-            _obs.count("task.items", 2)
-    _obs.gauge("task.depth", 2.0)
-    return end_capture(recorder)
+    with _obs.capture() as recorder:
+        with _obs.span("task.outer", shard=0):
+            _obs.count("task.items", 3)
+            with _obs.span("task.inner"):
+                _obs.count("task.items", 2)
+    return recorder.payload()
 
 
-def test_begin_capture_disabled_is_noop():
-    assert begin_capture(False) is None
+def test_capture_disabled_is_noop():
+    envelope = _ping(telemetry=False)
+    assert envelope["telemetry"] is None
     assert not _obs.enabled()
-    assert end_capture(None) is None
 
 
-def test_begin_capture_discards_inherited_recorder():
+def test_capture_discards_inherited_recorder():
     inherited = _obs.TraceRecorder(MetricsRegistry())
     _obs.install(inherited)
-    recorder = begin_capture(True)
-    assert recorder is not inherited
-    assert _obs.get_recorder() is recorder
-    end_capture(recorder)
+    envelope = _ping(telemetry=True)
+    assert envelope["telemetry"] == {"events": [], "counters": {}}
+    assert inherited.events == [] and inherited.metrics.counters == {}
     assert not _obs.enabled()
 
 
 def test_capture_payload_is_plain_data():
     payload = _capture_task()
-    assert set(payload) == {"events", "counters", "gauges"}
+    assert set(payload) == {"events", "counters"}
     assert payload["counters"]["task.items"] == 5
-    assert payload["gauges"]["task.depth"] == 2.0
     names = [e["name"] for e in payload["events"]]
     assert names == ["task.outer", "task.inner"]
 
 
-def test_end_capture_folds_solver_delta():
-    recorder = begin_capture(True)
-    baseline = {"solves": 2}
-    recorder.metrics.count("x", 1)
+def test_capture_folds_solver_delta(monkeypatch):
     import repro.obs.stats as stats_mod
 
-    totals = dict(baseline)
-    totals["solves"] = 7
+    totals = {"solves": 2}
+    monkeypatch.setattr(stats_mod, "solver_totals", lambda: dict(totals))
+    outer = _obs.TraceRecorder(MetricsRegistry())
+    _obs.install(outer)
+    with _obs.capture() as recorder:
+        recorder.metrics.count("x", 1)
+        totals["solves"] = 7
+    assert recorder.payload()["counters"]["solver.solves"] == 5
+    # The set-aside recorder's baseline moved past the captured work,
+    # so that work reaches it once, through the graft.
+    assert outer._solver_base["solves"] == 5
+    assert _obs.get_recorder() is outer
 
-    original = stats_mod.solver_totals
-    stats_mod.solver_totals = lambda: totals
-    try:
-        payload = end_capture(recorder, baseline)
-    finally:
-        stats_mod.solver_totals = original
-    assert payload["counters"]["solver.solves"] == 5
+
+def test_capture_reinstalls_set_aside_recorder_on_error():
+    outer = _obs.TraceRecorder(MetricsRegistry())
+    _obs.install(outer)
+    with pytest.raises(RuntimeError):
+        with _obs.capture() as recorder:
+            _obs.count("task.items")
+            raise RuntimeError("boom")
+    assert _obs.get_recorder() is outer
+    assert recorder.metrics.counters == {"task.items": 1}
+    assert outer.metrics.counters == {}
 
 
 def test_graft_rebases_spans_under_container():
@@ -75,7 +92,7 @@ def test_graft_rebases_spans_under_container():
     parent = _obs.TraceRecorder(MetricsRegistry())
     _obs.install(parent)
     with _obs.span("parent.phase"):
-        graft(parent, payload, label="fabric.worker", shard=1)
+        parent.graft(payload, "fabric.worker", shard=1)
     _obs.uninstall()
 
     names = [e["name"] for e in parent.events]
@@ -89,7 +106,7 @@ def test_graft_rebases_spans_under_container():
     assert inner["depth"] == outer["depth"] + 1 == container["depth"] + 2
     seqs = [e["seq"] for e in parent.events]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-    assert parent.metrics.counter("task.items") == 5
+    assert parent.metrics.counters["task.items"] == 5
 
 
 def test_graft_is_deterministic_across_orders():
@@ -99,7 +116,7 @@ def test_graft_is_deterministic_across_orders():
     def merged(order):
         parent = _obs.TraceRecorder(MetricsRegistry())
         for idx in order:
-            graft(parent, payloads[idx], shard=idx)
+            parent.graft(payloads[idx], "fabric.worker", shard=idx)
         return parent.metrics.snapshot()["counters"]
 
     assert merged([0, 1]) == merged([1, 0])
@@ -107,5 +124,5 @@ def test_graft_is_deterministic_across_orders():
 
 def test_graft_none_payload_is_noop():
     parent = _obs.TraceRecorder(MetricsRegistry())
-    graft(parent, None)
+    parent.graft(None, "fabric.worker")
     assert parent.events == []

@@ -38,8 +38,7 @@ def test_disabled_span_is_the_shared_null_singleton():
 
 def test_disabled_count_and_gauge_touch_nothing():
     obs.count("some.counter", 5)
-    obs.gauge("some.gauge", 1.5)
-    assert len(metrics) == 0
+    assert metrics.snapshot() == {"counters": {}, "gauges": {}}
 
 
 def test_disabled_get_recorder_is_null_recorder():
@@ -65,7 +64,7 @@ def test_live_spans_record_nesting_and_tags():
     assert inner["parent"] == outer["seq"] and inner["depth"] == 1
     assert inner["wall_s"] >= 0.0 and outer["wall_s"] >= inner["wall_s"]
     assert recorder.max_depth == 2
-    assert recorder.metrics.counter("work.items") == 3
+    assert recorder.metrics.counters["work.items"] == 3
 
 
 def test_span_records_error_class_on_exception():
@@ -109,15 +108,16 @@ def test_uninstall_returns_recorder_and_disables():
 
 def test_metrics_registry_counters_and_gauges():
     reg = MetricsRegistry()
+    reg.count("b", 2)
     reg.count("a", 2)
     reg.count("a")
-    reg.gauge("g", 0.5)
-    assert reg.counter("a") == 3
-    assert reg.counter("missing") == 0
+    assert reg.counters == {"b": 2, "a": 3}
     snap = reg.snapshot()
-    assert snap == {"counters": {"a": 3}, "gauges": {"g": 0.5}}
+    # Sorted counters; gauges stay an empty block (manifest schema v1).
+    assert snap == {"counters": {"a": 3, "b": 2}, "gauges": {}}
+    assert list(snap["counters"]) == ["a", "b"]
     reg.reset()
-    assert len(reg) == 0
+    assert reg.counters == {}
 
 
 def test_metrics_counters_prefix_filter():
@@ -125,7 +125,8 @@ def test_metrics_counters_prefix_filter():
     reg.count("rng.draws/a", 1)
     reg.count("rng.draws/b", 2)
     reg.count("solver.solves", 4)
-    assert reg.counters("rng.draws/") == {"rng.draws/a": 1, "rng.draws/b": 2}
+    draws = {k: v for k, v in reg.counters.items() if k.startswith("rng.draws/")}
+    assert draws == {"rng.draws/a": 1, "rng.draws/b": 2}
 
 
 # --- the recording context manager ----------------------------------------
@@ -155,3 +156,16 @@ def test_recording_captures_error_and_still_writes(tmp_path):
     manifest = load_manifest(tmp_path / "manifest.json")
     assert manifest["error"] == "RuntimeError"
     assert not obs.enabled()  # recorder uninstalled despite the error
+
+
+def test_nested_recording_refused_before_touching_counters(tmp_path):
+    from repro.obs import recording
+
+    with recording(tmp_path / "outer", command="outer") as recorder:
+        obs.count("outer.items", 5)
+        with pytest.raises(ObsError):
+            with recording(tmp_path / "inner", command="inner"):
+                pass  # pragma: no cover - entry refuses
+        assert metrics.snapshot()["counters"] == {"outer.items": 5}
+        assert obs.get_recorder() is recorder
+    assert not (tmp_path / "inner").exists()
