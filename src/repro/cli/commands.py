@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 
 from repro.analysis.report import render_node_sweep
 from repro.bench.fio import FioRunner
@@ -85,6 +86,62 @@ def _open_journal(run_dir, meta: dict, total_units: int):
     return journal
 
 
+@contextlib.contextmanager
+def _offline_pool(args: argparse.Namespace, meta: dict, units: int):
+    """The ``(pool, journal)`` an offline ``--jobs``/``--resume`` run uses.
+
+    Yields ``(None, None)`` — run in-process — unless the run is
+    journaled or asks for more than one job; otherwise one
+    :class:`~repro.fabric.FabricPool` of ``min(jobs, units)`` workers
+    and, with ``--resume``, the run journal identified by ``meta``.
+    Journaled runs always dispatch through the fabric with per-unit
+    tasks, so resume granularity is independent of the jobs count.
+    """
+    jobs = args.jobs or 1
+    if not args.resume and jobs == 1:
+        yield None, None
+        return
+    from repro.fabric import FabricPool
+
+    journal = _open_journal(args.resume, meta, units) if args.resume else None
+    try:
+        with FabricPool(jobs=min(jobs, units)) as pool:
+            yield pool, journal
+    finally:
+        if journal is not None:
+            journal.close()
+
+
+def _node_list(machine, spec: "str | None", flag: str) -> "tuple[int, ...] | None":
+    """Parse a node-list flag: ``None`` (flag absent), ``'all'``, or ids.
+
+    Rejects an empty list, a node not on ``machine`` and a repeated
+    node with a :class:`ReproError` naming ``flag``.
+    """
+    if spec is None:
+        return None
+    if spec.strip().lower() == "all":
+        return tuple(machine.node_ids)
+    try:
+        nodes = tuple(int(part) for part in spec.split(",") if part.strip())
+    except ValueError:
+        raise ReproError(
+            f"{flag} must be 'all' or comma-separated node ids, got {spec!r}"
+        ) from None
+    if not nodes:
+        raise ReproError(f"{flag} must name at least one node, got {spec!r}")
+    unknown = [n for n in nodes if n not in machine.node_ids]
+    if unknown:
+        raise ReproError(
+            f"{flag} names nodes {unknown} not on {machine.name!r} "
+            f"(nodes {list(machine.node_ids)})"
+        )
+    repeated = sorted({n for n in nodes if nodes.count(n) > 1})
+    if repeated:
+        raise ReproError(f"{flag} repeats nodes {repeated}, got {spec!r}")
+    return nodes
+
+
 def cmd_hardware(args: argparse.Namespace) -> int:
     """``repro-numa hardware``."""
     machine = _machine(args)
@@ -147,20 +204,6 @@ def cmd_fio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _iomodel_targets(args: argparse.Namespace, machine) -> list[int]:
-    """The target list for ``iomodel``: ``--targets`` wins, ``all`` sweeps
-    every node, otherwise the single ``--target``."""
-    spec = getattr(args, "targets", None)
-    if not spec:
-        return [args.target]
-    if spec.strip().lower() == "all":
-        return list(machine.node_ids)
-    try:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ReproError(f"cannot parse --targets {spec!r}") from exc
-
-
 def cmd_iomodel(args: argparse.Namespace) -> int:
     """``repro-numa iomodel`` (the paper's numademo extension).
 
@@ -176,73 +219,44 @@ def cmd_iomodel(args: argparse.Namespace) -> int:
     """
     machine = _machine(args)
     registry = _registry(args)
-    targets = _iomodel_targets(args, machine)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {jobs}")
-    resume = getattr(args, "resume", None)
-    journal = None
-    pool = None
-    try:
-        if resume:
-            # Journaled runs always dispatch through the fabric with
-            # per-target units, so resume granularity (and the journal's
-            # identity) is independent of the jobs count.
-            from repro.fabric import FabricPool
-
-            journal = _open_journal(resume, {
-                "command": "iomodel",
-                "machine": args.machine,
-                "seed": registry.seed,
-                "targets": [int(t) for t in targets],
-                "mode": args.mode,
-                "runs": args.runs,
-            }, len(targets))
-            pool = FabricPool(jobs=min(jobs or 1, max(len(targets), 1)))
-        elif jobs is not None and jobs > 1:
-            from repro.fabric import FabricPool
-
-            pool = FabricPool(jobs=min(jobs, max(len(targets), 1)))
-        if args.mode == "both":
-            if pool is not None:
-                results = pool.characterize_many(
-                    machine, targets, registry=registry, journal=journal,
-                    runs=args.runs
-                )
-            else:
-                characterizer = HostCharacterizer(
-                    machine, registry=registry, runs=args.runs
-                )
-                results = characterizer.characterize_many(tuple(targets))
-            for index, target in enumerate(targets):
-                if index:
-                    print()
-                print(results[target].render())
+    targets = _node_list(machine, args.targets, "--targets") or (args.target,)
+    meta = {
+        "command": "iomodel",
+        "machine": args.machine,
+        "seed": registry.seed,
+        "targets": list(targets),
+        "mode": args.mode,
+        "runs": args.runs,
+    }
+    with _offline_pool(args, meta, len(targets)) as (pool, journal):
+        if pool is not None and args.mode == "both":
+            results = pool.characterize_many(
+                machine, targets, registry=registry, journal=journal,
+                runs=args.runs,
+            )
+        elif pool is not None:
+            results = pool.build_many(
+                machine, targets, args.mode, registry=registry,
+                journal=journal, runs=args.runs,
+            )
+        elif args.mode == "both":
+            results = HostCharacterizer(
+                machine, registry=registry, runs=args.runs
+            ).characterize_many(targets)
         else:
-            if pool is not None:
-                models = pool.build_many(
-                    machine, targets, args.mode, registry=registry,
-                    journal=journal, runs=args.runs
-                )
-            else:
-                builder = IOModelBuilder(machine, registry=registry, runs=args.runs)
-                models = builder.build_many(tuple(targets), args.mode)
-            for index, target in enumerate(targets):
-                if index:
-                    print()
-                model = models[target]
-                print(model.render())
-                print()
-                print(
-                    render_node_sweep(
-                        f"per-node memcpy {args.mode} bandwidth", model.values
-                    )
-                )
-    finally:
-        if pool is not None:
-            pool.close()
-        if journal is not None:
-            journal.close()
+            results = IOModelBuilder(
+                machine, registry=registry, runs=args.runs
+            ).build_many(targets, args.mode)
+    for index, target in enumerate(targets):
+        if index:
+            print()
+        print(results[target].render())
+        if args.mode != "both":
+            print()
+            print(render_node_sweep(
+                f"per-node memcpy {args.mode} bandwidth",
+                results[target].values,
+            ))
     return 0
 
 
@@ -331,130 +345,58 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _experiment_worker(task: tuple[str, bool]) -> tuple[str, bool, str, str, list[str], float]:
-    """Run one experiment in a worker process; returns primitives only.
-
-    ``ExperimentResult.data`` can hold arbitrary objects, so workers
-    pre-render everything the parent prints or writes and ship strings
-    back across the process boundary.
-    """
-    import os
-    import time
-
-    exp_id, quick = task
-    if os.environ.get("REPRO_CHAOS_KILL_EXPERIMENT") == exp_id:
-        # Test hook: die exactly like a worker hit by the OOM killer,
-        # so the merge path's crash handling can be exercised for real.
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    start = time.perf_counter()
-    result = run_experiment(exp_id, quick=quick)
-    wall_s = time.perf_counter() - start
-    failed_lines = [c.render() for c in result.failed_checks()]
-    return (exp_id, result.passed, result.title, result.render(), failed_lines, wall_s)
-
-
 def _run_all_experiments(args: argparse.Namespace) -> int:
-    """``repro-numa experiment all [--outdir DIR] [--jobs N]``.
+    """``repro-numa experiment all [--outdir DIR] [--jobs N] [--resume DIR]``.
 
-    Without ``--jobs`` the experiments run sequentially with the
-    historical output format.  With ``--jobs N`` they fan out over a
-    multiprocessing pool; results are merged back in registry order
-    (deterministic regardless of completion order) and the report gains
-    a per-experiment wall-time column.
-
-    With ``--resume RUN_DIR`` every experiment is one journal unit and
-    the report uses the wall-time-free serial format, so an interrupted
-    and resumed run prints byte-identical output to an uninterrupted
-    one (and to the serial path) while re-running only the experiments
-    the crash lost.
+    One printing loop over one row per experiment, in registry order.
+    The rows come from the in-process runner, or — with ``--jobs N``
+    above 1 or ``--resume`` — from the worker fabric, where a SIGKILLed
+    worker degrades to a structured "crashed" row and a nonzero exit.
+    ``--jobs`` without ``--resume`` adds a per-experiment wall-time
+    column and a summary line.  With ``--resume RUN_DIR`` every
+    experiment is one journal unit and the report keeps the
+    wall-time-free format, so an interrupted and resumed run prints
+    byte-identical output to an uninterrupted one (and to the serial
+    path) while re-running only the experiments the crash lost.
     """
     import pathlib
+    import time
 
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS, run_experiment_row
 
     outdir = pathlib.Path(args.outdir) if args.outdir else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {jobs}")
-    resume = getattr(args, "resume", None)
-    failed = []
-    if resume:
-        from repro.fabric import FabricPool
         from repro.journal import atomic_write_text
-
-        journal = _open_journal(resume, {
-            "command": "experiment",
-            "id": "all",
-            "quick": bool(args.quick),
-        }, len(EXPERIMENTS))
-        try:
-            with FabricPool(jobs=min(jobs or 1, len(EXPERIMENTS))) as pool:
-                outcomes = pool.run_experiments(
-                    list(EXPERIMENTS), quick=args.quick, journal=journal
-                )
-        finally:
-            journal.close()
-        for exp_id, passed, title, rendered, failed_lines, _wall_s in outcomes:
-            status = "CRASH" if passed is None else "PASS" if passed else "FAIL"
-            print(f"{exp_id:5s} {status}  {title}")
-            if not passed:
-                failed.append(exp_id)
-                for line in failed_lines:
-                    print(f"      {line}")
-            if outdir is not None:
-                atomic_write_text(outdir / f"{exp_id}.txt", rendered + "\n")
-    elif jobs is None:
-        for exp_id in EXPERIMENTS:
-            result = run_experiment(exp_id, quick=args.quick)
-            status = "PASS" if result.passed else "FAIL"
-            print(f"{exp_id:5s} {status}  {result.title}")
-            if not result.passed:
-                failed.append(exp_id)
-                for check in result.failed_checks():
-                    print(f"      {check.render()}")
-            if outdir is not None:
-                from repro.journal import atomic_write_text
-
-                atomic_write_text(outdir / f"{exp_id}.txt", result.render() + "\n")
-    else:
-        import time
-
-        tasks = [(exp_id, args.quick) for exp_id in EXPERIMENTS]
-        start = time.perf_counter()
-        if jobs == 1:
-            outcomes = [_experiment_worker(t) for t in tasks]
+    timed = args.jobs is not None and not args.resume
+    meta = {"command": "experiment", "id": "all", "quick": bool(args.quick)}
+    failed = []
+    busy_s = 0.0
+    start = time.perf_counter()
+    with _offline_pool(args, meta, len(EXPERIMENTS)) as (pool, journal):
+        if pool is None:
+            rows = (run_experiment_row(exp_id, quick=args.quick)
+                    for exp_id in EXPERIMENTS)
         else:
-            # The shared-memory worker fabric: a persistent pool whose
-            # workers die loudly (a SIGKILLed worker degrades to a
-            # structured "crashed" row and a nonzero exit — never a
-            # stuck merge) and whose telemetry grafts back into the
-            # parent recorder, so --obs-dir keeps worker spans.
-            from repro.fabric import FabricPool
-
-            with FabricPool(jobs=min(jobs, len(tasks))) as pool:
-                outcomes = pool.run_experiments(
-                    [t[0] for t in tasks], quick=args.quick
-                )
-        total_s = time.perf_counter() - start
-        for exp_id, passed, title, rendered, failed_lines, wall_s in outcomes:
+            rows = pool.run_experiments(
+                EXPERIMENTS, quick=args.quick, journal=journal
+            )
+        for exp_id, passed, title, rendered, failed_lines, wall_s in rows:
             status = "CRASH" if passed is None else "PASS" if passed else "FAIL"
-            print(f"{exp_id:5s} {status}  {wall_s:6.2f} s  {title}")
+            wall = f"{wall_s:6.2f} s  " if timed else ""
+            print(f"{exp_id:5s} {status}  {wall}{title}")
+            busy_s += wall_s
             if not passed:
                 failed.append(exp_id)
                 for line in failed_lines:
                     print(f"      {line}")
             if outdir is not None:
-                from repro.journal import atomic_write_text
-
                 atomic_write_text(outdir / f"{exp_id}.txt", rendered + "\n")
-        busy_s = sum(o[5] for o in outcomes)
+    if timed:
         print(
-            f"{len(outcomes)} experiments in {total_s:.2f} s wall "
-            f"({busy_s:.2f} s of experiment time, {jobs} jobs)"
+            f"{len(EXPERIMENTS)} experiments in "
+            f"{time.perf_counter() - start:.2f} s wall "
+            f"({busy_s:.2f} s of experiment time, {args.jobs} jobs)"
         )
     if outdir is not None:
         print(f"artifacts written to {outdir}/")
@@ -482,34 +424,6 @@ def _serve_machine(args: argparse.Namespace):
 
         return machine_from_json_file(args.machine_file)
     return _machine(args)
-
-
-def _warm_targets(machine, spec: "str | None") -> "tuple[int, ...] | None":
-    """Parse ``--warm``: ``None`` (device nodes), ``'all'``, or id list."""
-    if spec is None:
-        return None
-    text = spec.strip().lower()
-    if text == "all":
-        return tuple(machine.node_ids)
-    try:
-        targets = tuple(
-            int(part) for part in text.split(",") if part.strip()
-        )
-    except ValueError:
-        raise ReproError(
-            f"--warm must be 'all' or comma-separated node ids, got {spec!r}"
-        ) from None
-    if not targets:
-        raise ReproError(
-            f"--warm must name at least one node, got {spec!r}"
-        )
-    unknown = [t for t in targets if t not in machine.node_ids]
-    if unknown:
-        raise ReproError(
-            f"--warm names nodes {unknown} not on {machine.name!r} "
-            f"(nodes {list(machine.node_ids)})"
-        )
-    return targets
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -577,15 +491,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     machine = _serve_machine(args)
     solver_pool = None
     if getattr(args, "solver_pool", None):
-        if args.solver_pool < 1:
-            raise ReproError(
-                f"--solver-pool must be >= 1, got {args.solver_pool}"
-            )
         from repro.fabric import FabricPool
 
         solver_pool = FabricPool(jobs=args.solver_pool)
     try:
-        warm = _warm_targets(machine, getattr(args, "warm", None))
+        warm = _node_list(machine, getattr(args, "warm", None), "--warm")
         backend = AdvisoryBackend(
             machine,
             registry=_registry(args),
@@ -855,10 +765,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     from repro.journal import CRASH_ENV, JOURNAL_FILENAME, scan_journal
     from repro.obs import diff_manifests, load_manifest
 
-    if args.trials < 1:
-        raise ReproError(f"--trials must be >= 1, got {args.trials}")
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     machine = _machine(args)
     registry = _registry(args)
     points = registry.stream("recover/points")

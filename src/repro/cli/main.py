@@ -10,18 +10,20 @@ from repro.errors import ReproError
 
 __all__ = ["build_parser", "main"]
 
-#: Machines selectable with ``--machine``.
-MACHINE_CHOICES = (
-    "reference",
-    "magny-cours-a",
-    "magny-cours-b",
-    "magny-cours-c",
-    "magny-cours-d",
-    "intel-4s4n",
-    "amd-4s8n",
-    "amd-8s8n",
-    "hp-blade-32n",
-)
+def _positive_int(flag: str):
+    """An argparse ``type=`` for a count flag: an int >= 1.
+
+    A value below 1 raises :class:`ReproError` naming ``flag``, which
+    :func:`main` reports like any other CLI error (exit 2).
+    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise ReproError(f"{flag} must be >= 1, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" wording
+    return parse
 
 
 def _add_resume(parser: argparse.ArgumentParser, unit: str) -> None:
@@ -61,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--machine",
         default="reference",
-        choices=MACHINE_CHOICES,
+        choices=tuple(commands._MACHINES),
         help="host to operate on (default: the calibrated reference host)",
     )
     parser.add_argument(
@@ -101,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "'all' sweeps every node)")
     p.add_argument("--mode", default="both", choices=("write", "read", "both"))
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    p.add_argument("--jobs", type=_positive_int("--jobs"), default=None,
+                   metavar="N",
                    help="shard the target sweep over N fabric worker "
                         "processes (output is byte-identical for any N)")
     _add_resume(p, "target node")
@@ -138,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the structured result data to this file")
     p.add_argument("--outdir",
                    help="with 'all': write each artifact to <outdir>/<id>.txt")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    p.add_argument("--jobs", type=_positive_int("--jobs"), default=None,
+                   metavar="N",
                    help="with 'all': run experiments in N worker processes "
                         "(deterministic merge order, per-experiment wall time)")
     _add_resume(p, "experiment")
@@ -214,9 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="both",
                    choices=("iomodel", "experiment", "both"),
                    help="which journaled workload(s) to crash and resume")
-    p.add_argument("--trials", type=int, default=2, metavar="N",
+    p.add_argument("--trials", type=_positive_int("--trials"), default=2,
+                   metavar="N",
                    help="crash trials per workload (seeded kill points)")
-    p.add_argument("--jobs", type=int, default=2, metavar="N",
+    p.add_argument("--jobs", type=_positive_int("--jobs"), default=2,
+                   metavar="N",
                    help="fabric workers inside each run under test")
     p.add_argument("--runs", type=int, default=10,
                    help="Algorithm 1 copies per probe in the iomodel workload")
@@ -244,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent solver workers (TCP transport)")
     p.add_argument("--failure-threshold", type=int, default=3,
                    help="consecutive solver failures that trip the breaker")
-    p.add_argument("--solver-pool", type=int, default=None, metavar="N",
+    p.add_argument("--solver-pool", type=_positive_int("--solver-pool"),
+                   default=None, metavar="N",
                    help="build cold models in N fabric worker processes "
                         "(shared-memory arenas) instead of in-process")
     p.add_argument("--tier-max-staleness", dest="tier_max_staleness",
@@ -380,9 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     prints stays byte-identical to an unrecorded run.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
-    obs_dir = getattr(args, "obs_dir", None)
     try:
+        args = parser.parse_args(argv)
+        obs_dir = getattr(args, "obs_dir", None)
         if obs_dir:
             from repro.obs import recording
             from repro.rng import DEFAULT_SEED

@@ -21,6 +21,7 @@ from repro.experiments.registry import (
     get_experiment,
     list_experiments,
     run_experiment,
+    run_experiment_row,
 )
 
 __all__ = [
@@ -30,4 +31,5 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "run_experiment",
+    "run_experiment_row",
 ]

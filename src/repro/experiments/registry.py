@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -16,6 +17,7 @@ __all__ = [
     "normalize_experiment_id",
     "get_experiment",
     "run_experiment",
+    "run_experiment_row",
     "list_experiments",
 ]
 
@@ -132,6 +134,24 @@ def run_experiment(exp_id: str, machine=None, registry=None, quick: bool = False
     runner = get_experiment(key)
     with _obs.span("experiment." + key, quick=quick):
         return runner(machine=machine, registry=registry, quick=quick)
+
+
+def run_experiment_row(
+    exp_id: str, quick: bool = False
+) -> tuple[str, bool, str, str, list[str], float]:
+    """Run one experiment and return its report row as plain data.
+
+    The row is ``(exp_id, passed, title, rendered, failed_lines,
+    wall_s)``: everything ``experiment all`` prints or writes, already
+    rendered, so a worker process can ship it back as strings
+    (``ExperimentResult.data`` may hold arbitrary objects).
+    """
+    start = time.perf_counter()
+    result = run_experiment(exp_id, quick=quick)
+    wall_s = time.perf_counter() - start
+    failed_lines = [c.render() for c in result.failed_checks()]
+    return (exp_id, result.passed, result.title, result.render(),
+            failed_lines, wall_s)
 
 
 def list_experiments() -> dict[str, str]:

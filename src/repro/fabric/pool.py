@@ -169,21 +169,14 @@ def _run_kind(kind: str, machine, registry, payload: dict):
             _WORKER_MODELS.move_to_end(key)
         return model
     if kind == "experiment":
-        import time
-
-        from repro.experiments import run_experiment
+        from repro.experiments import run_experiment_row
 
         exp_id = payload["exp_id"]
         if os.environ.get("REPRO_CHAOS_KILL_EXPERIMENT") == exp_id:
             # Test hook: die exactly like a worker hit by the OOM
             # killer, so crash handling can be exercised for real.
             os.kill(os.getpid(), signal.SIGKILL)
-        start = time.perf_counter()
-        result = run_experiment(exp_id, quick=payload["quick"])
-        wall_s = time.perf_counter() - start
-        failed_lines = [c.render() for c in result.failed_checks()]
-        return (exp_id, result.passed, result.title, result.render(),
-                failed_lines, wall_s)
+        return run_experiment_row(exp_id, quick=payload["quick"])
     if kind == "ping":
         return machine.name if machine is not None else None
     raise FabricError(f"unknown fabric task kind {kind!r}")
@@ -429,38 +422,21 @@ class FabricPool:
         """Unit-granular dispatch against a :class:`RunJournal`.
 
         ``keys[i]`` identifies unit ``i``; ``make_task(i)`` builds its
-        task envelope.  Journaled units are replayed from their stored
-        envelopes; the rest run, each appended — result, draw ledger,
-        telemetry — as soon as it completes.  The returned envelope
-        list is in unit order either way.
+        task envelope.  A journal record carries the envelope's
+        ``result``/``draws``/``telemetry``, so journaled units replay
+        from their records as-is; the rest run, each appended as soon
+        as it completes.  The returned envelope list is in unit order
+        either way.
         """
-        envelopes: "list[dict | None]" = [None] * len(keys)
-        missing: "list[int]" = []
-        for i, key in enumerate(keys):
-            record = journal.get(key)
-            if record is not None:
-                envelopes[i] = {
-                    "result": record["result"],
-                    "draws": record["draws"],
-                    "telemetry": record["telemetry"],
-                }
-            else:
-                missing.append(i)
-
-        def persist(j: int, env: dict) -> None:
-            journal.append(
-                keys[missing[j]],
-                result=env["result"],
-                draws=env["draws"],
-                telemetry=env["telemetry"],
-            )
-
+        envelopes = [journal.get(key) for key in keys]
+        missing = [i for i, env in enumerate(envelopes) if env is None]
         fresh = self._run_tasks(
-            [make_task(i) for i in missing], on_result=persist
+            [make_task(i) for i in missing],
+            on_result=lambda j, env: journal.append(keys[missing[j]], **env),
         )
-        for j, env in zip(missing, fresh):
-            envelopes[j] = env
-        return envelopes  # type: ignore[return-value]
+        for i, env in zip(missing, fresh):
+            envelopes[i] = env
+        return envelopes
 
     def _merge(self, envelopes: "list[dict]", registry, label: str) -> None:
         """Fold draw ledgers and grafted telemetry back, in task order."""
@@ -471,6 +447,37 @@ class FabricPool:
             recorder.graft(env["telemetry"], label, shard=idx)
 
     # --- sharded sweeps ---------------------------------------------------
+    def _sweep(self, kind: str, machine, targets, registry, journal,
+               key: tuple, payload: dict) -> dict:
+        """The one body behind :meth:`build_many` and :meth:`characterize_many`.
+
+        Without ``journal``, ``targets`` is cut into ``jobs`` contiguous
+        shards.  With it, dispatch is one target per task, keyed
+        ``key + (target,)``, so resume granularity is independent of
+        ``jobs`` and completed targets are replayed, not re-run.  Draw
+        ledgers and telemetry merge back in target order either way.
+        """
+        targets = tuple(targets)
+        seed = registry.seed if registry is not None else self.seed
+        ref = self._machine_ref(machine)
+
+        def task(chunk: tuple) -> dict:
+            return self._task(kind, ref, seed, {"targets": chunk, **payload})
+
+        if journal is not None:
+            envelopes = self._run_journaled(
+                journal,
+                [key + (int(t),) for t in targets],
+                lambda i: task(targets[i:i + 1]),
+            )
+        else:
+            envelopes = self._run_tasks([
+                task(targets[start:stop])
+                for start, stop in plan_shards(len(targets), self.jobs)
+            ])
+        self._merge(envelopes, registry, "fabric." + kind)
+        return merge_in_order([env["result"] for env in envelopes])
+
     def build_many(self, machine, targets, mode: str,
                    registry: "RngRegistry | None" = None,
                    journal=None, **builder_kwargs) -> dict:
@@ -478,67 +485,26 @@ class FabricPool:
 
         Bit-identical to the serial call with the same registry seed;
         the caller's ``registry`` (when given) supplies the seed and
-        absorbs the merged draw ledger.  With ``journal``, dispatch is
-        one target per task (so resume granularity is independent of
-        ``jobs``) and completed targets are replayed, not re-run.
+        absorbs the merged draw ledger.  With ``journal``, completed
+        targets are replayed, not re-run.
         """
-        targets = tuple(targets)
-        seed = registry.seed if registry is not None else self.seed
-        ref = self._machine_ref(machine)
-        if journal is not None:
-            envelopes = self._run_journaled(
-                journal,
-                [("build_many", mode, int(t)) for t in targets],
-                lambda i: self._task("build_many", ref, seed, {
-                    "targets": (targets[i],),
-                    "mode": mode,
-                    "builder": dict(builder_kwargs),
-                }),
-            )
-        else:
-            tasks = [
-                self._task("build_many", ref, seed, {
-                    "targets": targets[start:stop],
-                    "mode": mode,
-                    "builder": dict(builder_kwargs),
-                })
-                for start, stop in plan_shards(len(targets), self.jobs)
-            ]
-            envelopes = self._run_tasks(tasks)
-        self._merge(envelopes, registry, "fabric.build_many")
-        return merge_in_order([env["result"] for env in envelopes])
+        return self._sweep(
+            "build_many", machine, targets, registry, journal,
+            ("build_many", mode),
+            {"mode": mode, "builder": dict(builder_kwargs)},
+        )
 
     def characterize_many(self, machine, nodes,
                           registry: "RngRegistry | None" = None,
                           journal=None, **builder_kwargs) -> dict:
         """Sharded :meth:`~repro.core.characterize.HostCharacterizer.characterize_many`.
 
-        With ``journal``, one node per task and journal-replay of
-        completed nodes, exactly like :meth:`build_many`.
+        Same determinism and journal contract as :meth:`build_many`.
         """
-        nodes = tuple(nodes)
-        seed = registry.seed if registry is not None else self.seed
-        ref = self._machine_ref(machine)
-        if journal is not None:
-            envelopes = self._run_journaled(
-                journal,
-                [("characterize_many", int(n)) for n in nodes],
-                lambda i: self._task("characterize_many", ref, seed, {
-                    "targets": (nodes[i],),
-                    "builder": dict(builder_kwargs),
-                }),
-            )
-        else:
-            tasks = [
-                self._task("characterize_many", ref, seed, {
-                    "targets": nodes[start:stop],
-                    "builder": dict(builder_kwargs),
-                })
-                for start, stop in plan_shards(len(nodes), self.jobs)
-            ]
-            envelopes = self._run_tasks(tasks)
-        self._merge(envelopes, registry, "fabric.characterize_many")
-        return merge_in_order([env["result"] for env in envelopes])
+        return self._sweep(
+            "characterize_many", machine, nodes, registry, journal,
+            ("characterize_many",), {"builder": dict(builder_kwargs)},
+        )
 
     def bulk_copy_gbps_many(self, machine, pairs, threads: int) -> "list[float]":
         """Sharded :func:`~repro.bench.engines.bulk_copy_gbps_many`."""
@@ -563,12 +529,15 @@ class FabricPool:
                         journal=None) -> "list[tuple]":
         """One experiment per worker task, merged in registry order.
 
-        No transparent retry here: a dead worker degrades to structured
-        "crashed" rows (every experiment still reported exactly once)
-        and the executor is rebuilt for later dispatches, matching the
-        CLI's long-standing crash semantics.  With ``journal``, passed
-        experiments are replayed from their records; crashed rows are
-        deliberately never journaled, so a resume retries them.
+        Returns the rows of
+        :func:`~repro.experiments.registry.run_experiment_row` — the
+        same rows ``experiment all`` builds in-process when it runs
+        serially, so the CLI prints both through one loop.  No
+        transparent retry here: a dead worker degrades to a structured
+        "crashed" row (every experiment still reported exactly once)
+        and the executor is rebuilt for later dispatches.  With
+        ``journal``, completed experiments replay from their records;
+        crashed rows are never journaled, so a resume retries them.
         """
         executor = self._ensure_executor()
         exp_ids = list(exp_ids)
@@ -585,12 +554,7 @@ class FabricPool:
         crashed = False
         for exp_id in exp_ids:
             if exp_id not in futures:
-                record = journal.get(("experiment", exp_id))
-                envelope = {
-                    "result": record["result"],
-                    "draws": record["draws"],
-                    "telemetry": record["telemetry"],
-                }
+                envelope = journal.get(("experiment", exp_id))
             else:
                 try:
                     envelope = futures[exp_id].result()
@@ -606,12 +570,7 @@ class FabricPool:
                     continue
                 self.completed += 1
                 if journal is not None:
-                    journal.append(
-                        ("experiment", exp_id),
-                        result=envelope["result"],
-                        draws=envelope["draws"],
-                        telemetry=envelope["telemetry"],
-                    )
+                    journal.append(("experiment", exp_id), **envelope)
             self._merge([envelope], None, "fabric.experiment")
             outcomes.append(tuple(envelope["result"]))
         if crashed:

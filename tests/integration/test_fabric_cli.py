@@ -67,6 +67,20 @@ def test_iomodel_rejects_bad_targets_and_jobs(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
+@pytest.mark.parametrize("spec, reason", [
+    (",,", "must name at least one node"),
+    ("0,0", "repeats nodes [0]"),
+    ("0,99", "names nodes [99] not on"),
+], ids=["empty", "duplicate", "unknown"])
+def test_iomodel_rejects_bad_node_lists(spec, reason, jobs, capsys):
+    rc, out = _run(["iomodel", "--targets", spec, "--mode", "write",
+                    "--runs", "2"] + jobs)
+    assert rc == 2
+    assert out == ""
+    assert f"--targets {reason}" in capsys.readouterr().err
+
+
 def test_obs_manifest_ledger_identical_across_jobs(tmp_path):
     """Satellite (a): worker draws land in the parent manifest."""
     serial_dir = tmp_path / "serial"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli.main import main
 
 
@@ -54,8 +56,35 @@ class TestExperimentJson:
         assert "21 experiments in" in out
         assert len(list(outdir.glob("*.txt"))) == 21
 
-    def test_all_rejects_nonpositive_jobs(self, capsys):
-        assert main(["experiment", "all", "--quick", "--jobs", "0"]) == 2
+    def test_all_with_jobs_one_times_rows_in_process(self, tmp_path, capsys):
+        serial_dir = tmp_path / "serial"
+        timed_dir = tmp_path / "timed"
+        assert main(["experiment", "all", "--quick",
+                     "--outdir", str(serial_dir)]) == 0
+        capsys.readouterr()
+        assert main(["experiment", "all", "--quick", "--jobs", "1",
+                     "--outdir", str(timed_dir)]) == 0
+        out = capsys.readouterr().out
+        lines = [line for line in out.splitlines() if " PASS " in line]
+        assert len(lines) == 21
+        assert all(" s  " in line for line in lines)
+        assert "21 experiments in " in out and "s of experiment time, 1 jobs)" in out
+        names = sorted(p.name for p in serial_dir.iterdir())
+        assert names == sorted(p.name for p in timed_dir.iterdir())
+        for name in names:
+            assert (serial_dir / name).read_bytes() == (timed_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "all", "--quick", "--jobs", "0"],
+        ["iomodel", "--jobs", "0"],
+        ["recover", "--jobs", "0"],
+        ["recover", "--trials", "0"],
+        ["serve", "--stdio", "--solver-pool", "0"],
+    ], ids=["experiment-jobs", "iomodel-jobs", "recover-jobs",
+            "recover-trials", "serve-solver-pool"])
+    def test_all_rejects_nonpositive_jobs(self, argv, capsys):
+        assert main(argv) == 2
+        assert f"{argv[-2]} must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestOnlineTraces:

@@ -283,16 +283,16 @@ class TestHealthAndSoakReporting:
 
 class TestWarmTargets:
     def test_cli_warm_spec_parses(self, host):
-        from repro.cli.commands import _warm_targets
+        from repro.cli.commands import _node_list
 
-        assert _warm_targets(host, None) is None
-        assert _warm_targets(host, "all") == tuple(host.node_ids)
-        assert _warm_targets(host, "3,5") == (3, 5)
+        assert _node_list(host, None, "--warm") is None
+        assert _node_list(host, "all", "--warm") == tuple(host.node_ids)
+        assert _node_list(host, "3,5", "--warm") == (3, 5)
 
     def test_cli_warm_spec_rejects_junk(self, host):
-        from repro.cli.commands import _warm_targets
+        from repro.cli.commands import _node_list
         from repro.errors import ReproError
 
-        for bad in ("seven", "", ",", "0,99"):
-            with pytest.raises(ReproError):
-                _warm_targets(host, bad)
+        for bad in ("seven", "", ",", "0,99", "0,0"):
+            with pytest.raises(ReproError, match="--warm"):
+                _node_list(host, bad, "--warm")
