@@ -442,6 +442,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
     import sys
+    import time
 
     from repro.rng import DEFAULT_SEED
     from repro.service import (
@@ -504,24 +505,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
             tier_max_staleness_s=getattr(args, "tier_max_staleness", None),
         )
 
-        if args.stdio:
+        service = PlacementService(
+            backend,
+            breaker=CircuitBreaker(failure_threshold=args.failure_threshold),
             # A logical clock ticking once per answered line keeps the
-            # response stream (staleness tags included) byte-stable.
-            service = PlacementService(
-                backend,
-                breaker=CircuitBreaker(
-                    failure_threshold=args.failure_threshold
-                ),
-                clock=LogicalClock(),
-            )
+            # stdio response stream (staleness tags included) byte-stable.
+            clock=LogicalClock() if args.stdio else time.monotonic,
+        )
+        if args.stdio:
             backend.warm(warm)
             serve_stdio(service)
             return 0
 
-        service = PlacementService(
-            backend,
-            breaker=CircuitBreaker(failure_threshold=args.failure_threshold),
-        )
         # Black-box evidence on the two paths that need it most: a
         # breaker trip streams the flight recorder to stderr, and an
         # unexpected transport crash dumps it on the way down.
@@ -531,7 +526,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             queue_limit=args.queue_limit,
             workers=args.workers,
-            failure_threshold=args.failure_threshold,
         )
 
         async def _run() -> None:

@@ -2,21 +2,21 @@
 
 Layering, outermost in:
 
-* :class:`AsyncPlacementServer` — TCP transport.  A bounded admission
-  queue gives **explicit backpressure** (queue full → immediate typed
-  ``overloaded`` rejection, never silent buffering); worker tasks apply
-  **per-request deadlines** with real cancellation at the await point;
-  :meth:`~AsyncPlacementServer.drain` stops admissions, finishes
-  queued work, then closes — every in-flight request still gets its
-  response.
+* :class:`AsyncPlacementServer` — TCP transport.  It reads and decodes
+  each line once, admits it into a bounded queue (queue full →
+  immediate typed ``overloaded`` rejection, never silent buffering),
+  cancels a solve that outlives its deadline, and writes the reply;
+  :meth:`~AsyncPlacementServer.drain` stops admissions, answers
+  admitted work, then closes.
 * :func:`serve_stdio` — the strictly serial stdio transport: read a
   line, answer it, repeat.  Serial order makes the response stream a
   pure function of the request stream (the deterministic-twin property
   the smoke test pins).
 * :class:`PlacementService` — the shared synchronous dispatch core:
-  decode → validate → breaker gate → backend → encode.  Both
-  transports and the chaos soak drive this one object, so robustness
-  semantics cannot drift between them.
+  :meth:`~PlacementService.dispatch` validates, applies the deadline
+  and breaker rules, calls the backend and encodes.  Every transport
+  and the chaos soak drive this one method, so robustness semantics
+  cannot drift between them.
 
 Breaker semantics (the degraded-mode contract):
 
@@ -87,9 +87,6 @@ _TIER_COUNTERS = {t: f"service.tier.{t}.answers" for t in (1, 2, 3)}
 #: scans — with per-line tuples the GC tax alone was ~1us per request.
 _OBS_BATCH = 4 * 4096
 
-#: The methods :class:`AdvisoryBackend` answers, one backend call each.
-_BACKEND_METHODS = frozenset({"advise", "plan", "predict_eq1", "classify"})
-
 #: Error responses have no ``result``; a shared empty dict keeps the
 #: hot-path tier lookup branch-free.
 _NO_RESULT: dict = {}
@@ -113,7 +110,6 @@ class ServiceConfig:
     port: int = 8713
     queue_limit: int = 32  # bounded admission queue (backpressure)
     workers: int = 4  # concurrent solver-side workers (TCP transport)
-    failure_threshold: int = 3  # consecutive solver failures that trip
 
     def __post_init__(self) -> None:
         for name in ("queue_limit", "workers"):
@@ -206,7 +202,7 @@ class PlacementService:
         # buffer is invisible to the GC; _drain_obs folds them.
         self._obs_buf: "list | None" = [] if self.live.enabled else None
         # A hand-advanced clock (the soak's LogicalClock) cannot move
-        # within a synchronous handle_line call, so per-line elapsed
+        # within a synchronous dispatch call, so per-line elapsed
         # is identically 0.0 — skip the second clock read on the hot
         # path and spend it only on real clocks.
         self._obs_end = None if hasattr(clock, "advance") else clock
@@ -342,11 +338,6 @@ class PlacementService:
         return payload
 
     # --- dispatch ----------------------------------------------------------
-    def _execute(self, method: str, params: dict) -> dict:
-        if method not in _BACKEND_METHODS:
-            raise ServiceError("method_not_found", f"unknown method {method!r}")
-        return getattr(self.backend, method)(**params)
-
     def _degraded_or_error(self, req_id, method, params, exc: ServiceError):
         answer = self.backend.degraded_answer(method, params)
         if answer is not None:
@@ -360,16 +351,8 @@ class PlacementService:
             return result_response(req_id, answer)
         return self._error(req_id, exc)
 
-    def handle_request(self, req_id, method: str, params, deadline_ms) -> dict:
-        """Dispatch one decoded request; always returns a response dict."""
-        self.requests += 1
-        if _obs.enabled():
-            _obs.count("service.requests")
-            with _obs.span("service.request", method=method):
-                return self._dispatch(req_id, method, params, deadline_ms)
-        return self._dispatch(req_id, method, params, deadline_ms)
-
-    def _dispatch(self, req_id, method: str, params, deadline_ms) -> dict:
+    def _route(self, request: tuple, waited_s: float) -> dict:
+        req_id, method, params, deadline_ms = request
         try:
             filled = validate_params(method, params)
         except ServiceError as exc:
@@ -382,14 +365,7 @@ class PlacementService:
             return result_response(
                 req_id, self.metrics_payload(filled["flight"])
             )
-        if self.draining:
-            return self._error(
-                req_id,
-                ServiceError(
-                    "shutting_down", "server is draining; not accepting work"
-                ),
-            )
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and deadline_ms <= waited_s * 1000.0:
             return self._error(
                 req_id,
                 ServiceError(
@@ -409,7 +385,8 @@ class PlacementService:
                 ),
             )
         try:
-            result = self._execute(method, filled)
+            # validate_params admitted only METHODS; meta ones returned above.
+            result = getattr(self.backend, method)(**filled)
         except ServiceError as exc:
             # Caller mistake (e.g. unknown node): not a solver failure.
             return self._error(req_id, exc)
@@ -432,7 +409,7 @@ class PlacementService:
         """Fold the buffered per-line observations into the live plane.
 
         The hot path only appends four scalars per answered line —
-        ``t, method, wall_s, tier``, flat (see :meth:`handle_line`);
+        ``t, method, wall_s, tier``, flat (see :meth:`dispatch`);
         everything heavier happens here, batched: the buffer is
         grouped by ``(method, tier, wall_s)`` — one C-speed
         :class:`Counter` pass; on the deterministic logical clock a
@@ -526,29 +503,34 @@ class PlacementService:
         if drift is not None:
             drift.fold_if_large()  # its per-answer path skips the cap check
 
-    def handle_line(self, line: str) -> str:
-        """One wire line in, one wire line out — never a traceback."""
+    def dispatch(self, request, admitted_at: float) -> str:
+        """Answer one decoded request as one wire line — never a traceback.
+
+        ``request`` is :func:`~repro.service.protocol.decode_request`'s
+        tuple or the :class:`~repro.errors.ServiceError` it raised;
+        ``deadline_ms`` runs from ``admitted_at`` (service clock).
+        """
         started = self.clock()
-        method = "-"
-        try:
-            req_id, method, params, deadline_ms = decode_request(line)
-        except ServiceError as exc:
-            response = self._error(None, exc)
+        if isinstance(request, ServiceError):
+            method = "-"
+            response = self._error(None, request)
         else:
+            method = request[1]
+            self.requests += 1
             try:
-                response = self.handle_request(
-                    req_id, method, params, deadline_ms
-                )
-            except ServiceError as exc:
-                response = self._error(req_id, exc)
+                if _obs.enabled():
+                    _obs.count("service.requests")
+                    with _obs.span("service.request", method=method):
+                        response = self._route(request, started - admitted_at)
+                else:
+                    response = self._route(request, started - admitted_at)
             except Exception as exc:  # the sanitising wall: no tracebacks out
-                response = self._error(
-                    req_id,
-                    ServiceError(
+                if not isinstance(exc, ServiceError):
+                    exc = ServiceError(
                         "internal_error",
                         f"internal error: {type(exc).__name__}",
-                    ),
-                )
+                    )
+                response = self._error(request[0], exc)
         result = response.get("result")
         buf = self._obs_buf
         if buf is not None:
@@ -574,6 +556,14 @@ class PlacementService:
                 result["staleness_s"], result.wire_post,
             )
         return encode_message(response)
+
+    def handle_line(self, line: str) -> str:
+        """One wire line in, one wire line out — never a traceback."""
+        try:
+            request = decode_request(line)
+        except ServiceError as exc:
+            request = exc
+        return self.dispatch(request, self.clock())
 
 
 def serve_stdio(service: PlacementService, stdin=None, stdout=None) -> int:
@@ -602,8 +592,20 @@ def serve_stdio(service: PlacementService, stdin=None, stdout=None) -> int:
     return answered
 
 
+class _Client:
+    """One TCP connection.  No write lock: ``write`` is synchronous and
+    concurrent ``drain()`` is safe on Python 3.10+."""
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.inflight = 0  # admitted requests not yet answered
+        self.idle = asyncio.Event()
+        self.idle.set()
+        self.lost = False  # a transport fault has left its event
+
+
 class AsyncPlacementServer:
-    """The TCP transport: bounded admission, deadlines, graceful drain."""
+    """The TCP transport: admission, deadline cancellation, replies."""
 
     def __init__(
         self, service: PlacementService, config: ServiceConfig | None = None
@@ -613,6 +615,7 @@ class AsyncPlacementServer:
         self._queue: asyncio.Queue | None = None
         self._workers: list[asyncio.Task] = []
         self._server: asyncio.base_events.Server | None = None
+        self._clients: dict[asyncio.Task, _Client] = {}
         self.rejected = 0
 
     @property
@@ -638,14 +641,14 @@ class AsyncPlacementServer:
         if self._server is None:
             await self.start()
         assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        await self._server.serve_forever()
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, finish queued work, close.
+        """Graceful shutdown: refuse new work, answer admitted work, close.
 
         After ``drain`` returns, every admitted request has been
-        answered, every worker has exited, and the listener is closed.
+        answered, every worker and connection handler has exited, and
+        the listener is closed.
         """
         self.service.draining = True
         if self._server is not None:
@@ -654,8 +657,13 @@ class AsyncPlacementServer:
             await self._queue.join()
         for worker in self._workers:
             worker.cancel()
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
+        # Closing a connection ends its read with EOF, so each handler
+        # returns on its own rather than being cancelled at loop exit.
+        for client in self._clients.values():
+            client.writer.close()
+        await asyncio.gather(
+            *self._workers, *self._clients, return_exceptions=True
+        )
         self._workers = []
         if self._server is not None:
             await self._server.wait_closed()
@@ -664,7 +672,7 @@ class AsyncPlacementServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        lock = asyncio.Lock()  # one response write at a time per client
+        client = self._clients[asyncio.current_task()] = _Client(writer)
         oversized = False  # dropping a line past the stream limit
         try:
             while True:
@@ -681,121 +689,112 @@ class AsyncPlacementServer:
                     # ... then answer the line, typed; the connection
                     # stays usable for the next request.
                     oversized = False
-                    await self._reply(writer, lock, self._typed_line(
-                        "", "invalid_request",
-                        "request line exceeds the stream limit",
-                    ))
-                    continue
-                if not raw:
+                    await self._refuse(client, None, "invalid_request",
+                                       "request line exceeds the stream limit")
+                elif not raw:
                     break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                await self._admit(line, writer, lock)
+                elif line := raw.decode("utf-8", errors="replace").strip():
+                    await self._admit(client, line)
+        except (ConnectionError, OSError) as exc:
+            self._lost(client, exc)
         finally:
+            await client.idle.wait()  # a half-closed client still reads
+            del self._clients[asyncio.current_task()]
+            writer.close()
             try:
-                writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            except (ConnectionError, OSError) as exc:
+                self._lost(client, exc)
 
-    async def _admit(self, line, writer, lock) -> None:
-        """Bounded admission: reject instantly when the queue is full."""
+    async def _admit(self, client: _Client, line: str) -> None:
+        """Decode once, then queue the request or refuse it at once."""
         assert self._queue is not None
-        if self.service.draining:
-            await self._reply(
-                writer, lock,
-                self._typed_line(line, "shutting_down",
-                                 "server is draining; not accepting work"),
-            )
-            return
-        item = (line, writer, lock, self.service.clock())
         try:
-            self._queue.put_nowait(item)
+            request = decode_request(line)
+        except ServiceError as exc:
+            request = exc  # the service answers it, in order
+        if self.service.draining:
+            await self._refuse(client, request, "shutting_down",
+                               "server is draining; not accepting work")
+            return
+        try:
+            self._queue.put_nowait((request, self.service.clock(), client))
         except asyncio.QueueFull:
             self.rejected += 1
             _obs.count("service.rejected")
-            await self._reply(
-                writer, lock,
-                self._typed_line(
-                    line, "overloaded",
-                    f"admission queue full "
-                    f"({self.config.queue_limit} requests); retry later",
-                ),
+            limit = self.config.queue_limit
+            await self._refuse(client, request, "overloaded",
+                               f"admission queue full ({limit} requests); "
+                               f"retry later")
+            return
+        client.inflight += 1
+        client.idle.clear()
+
+    async def _refuse(self, client: _Client, request, kind: str,
+                      message: str) -> None:
+        """Answer with a transport's typed error, echoing the id it holds."""
+        req_id = request[0] if type(request) is tuple else None
+        error = self.service._error(req_id, ServiceError(kind, message))
+        await self._reply(client, encode_message(error))
+
+    def _lost(self, client: _Client, exc: BaseException) -> None:
+        """Note a transport fault (asyncio has closed the transport)."""
+        if not client.lost:
+            client.lost = True
+            self.service.live.flight.note_event(
+                self.service.clock(), "transport-error",
+                {"error": type(exc).__name__},
             )
 
-    def _typed_line(self, line: str, kind: str, message: str) -> str:
-        """A typed error line that still echoes the request id if parseable."""
+    async def _reply(self, client: _Client, payload: str) -> None:
+        if client.lost:
+            return
         try:
-            req_id, _method, _params, _deadline = decode_request(line)
-        except ServiceError:
-            req_id = None
-        return encode_message(
-            self.service._error(req_id, ServiceError(kind, message))
-        )
-
-    async def _reply(self, writer, lock, payload: str) -> None:
-        async with lock:
-            try:
-                writer.write(payload.encode("utf-8"))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; nothing to tell it
+            client.writer.write(payload.encode("utf-8"))
+            await client.writer.drain()
+        except (ConnectionError, OSError) as exc:
+            self._lost(client, exc)
 
     async def _worker(self) -> None:
         assert self._queue is not None
+        service = self.service
         while True:
-            line, writer, lock, admitted_at = await self._queue.get()
+            request, admitted, client = await self._queue.get()
             try:
-                service = self.service
-                if service.live.enabled:
-                    service.live.record(
-                        "service.queue_wait",
-                        service.clock() - admitted_at,
-                    )
+                waited_s = service.clock() - admitted
+                service.live.record("service.queue_wait", waited_s)
+                call = asyncio.to_thread(service.dispatch, request, admitted)
+                deadline_ms = request[3] if type(request) is tuple else None
                 try:
-                    payload = await self._answer(line, admitted_at)
-                except asyncio.CancelledError:
-                    raise
+                    # An already-spent budget is the service's to answer.
+                    if deadline_ms is None or deadline_ms <= waited_s * 1000.0:
+                        payload = await call
+                    else:
+                        payload = await asyncio.wait_for(
+                            call, deadline_ms / 1000.0 - waited_s
+                        )
+                except asyncio.TimeoutError:
+                    _obs.count("service.deadline_cancelled")
+                    solver_pool = getattr(service.backend, "solver_pool", None)
+                    if solver_pool is not None:
+                        # The abandoned solve may still be running in a fabric
+                        # worker; the future is dropped, the slot stays busy
+                        # until that solve finishes, and the pool accounts it.
+                        solver_pool.note_abandoned()
+                    await self._refuse(
+                        client, request, "deadline_exceeded",
+                        f"deadline of {deadline_ms} ms expired mid-solve; "
+                        f"request cancelled",
+                    )
                 except Exception as exc:  # keep the worker alive, always
-                    payload = self._typed_line(
-                        line, "internal_error",
+                    await self._refuse(
+                        client, request, "internal_error",
                         f"internal error: {type(exc).__name__}",
                     )
-                await self._reply(writer, lock, payload)
+                else:
+                    await self._reply(client, payload)
             finally:
                 self._queue.task_done()
-
-    async def _answer(self, line: str, admitted_at: float) -> str:
-        """Execute one request off-loop, enforcing its deadline."""
-        try:
-            _req_id, _method, params, deadline_ms = decode_request(line)
-        except ServiceError:
-            deadline_ms = None
-        if deadline_ms is None:
-            return await asyncio.to_thread(self.service.handle_line, line)
-        waited_s = self.service.clock() - admitted_at
-        remaining_s = deadline_ms / 1000.0 - waited_s
-        if remaining_s <= 0:
-            return self._typed_line(
-                line, "deadline_exceeded",
-                f"deadline of {deadline_ms} ms expired while queued",
-            )
-        try:
-            return await asyncio.wait_for(
-                asyncio.to_thread(self.service.handle_line, line),
-                timeout=remaining_s,
-            )
-        except asyncio.TimeoutError:
-            _obs.count("service.deadline_cancelled")
-            solver_pool = getattr(self.service.backend, "solver_pool", None)
-            if solver_pool is not None:
-                # The abandoned solve may still be running in a fabric
-                # worker; the future is dropped, the slot stays busy
-                # until that solve finishes, and the pool accounts it.
-                solver_pool.note_abandoned()
-            return self._typed_line(
-                line, "deadline_exceeded",
-                f"deadline of {deadline_ms} ms expired mid-solve; "
-                f"request cancelled",
-            )
+                client.inflight -= 1
+                if not client.inflight:
+                    client.idle.set()

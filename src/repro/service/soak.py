@@ -481,9 +481,9 @@ def run_soak(
         # state the request was served under.
         quarantined = frozenset(backend.tiers.quarantined)
         report.account(service.handle_line(line), quarantined, bool(active))
-        # The TCP transport pumps on an interval, not per request —
-        # mirror that (every 3rd tick) so quarantined keys genuinely
-        # serve labelled `repairing` answers before repair lands.
+        # Pump every 3rd tick, not per request, so quarantined keys
+        # genuinely serve labelled `repairing` answers before repair
+        # lands.
         if supervisor is not None and i % 3 == 2:
             supervisor.pump(clock())
         clock.advance()

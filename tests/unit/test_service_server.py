@@ -2,20 +2,24 @@
 
 import asyncio
 import json
+import socket
+import struct
 import threading
 
 import pytest
 
 from repro.retrying import RetryPolicy
 from repro.rng import RngRegistry
+from repro.service import server as server_module
 from repro.service.backend import AdvisoryBackend
 from repro.service.breaker import CircuitBreaker
+from repro.service.protocol import encode_message
 from repro.service.server import (
     AsyncPlacementServer,
     PlacementService,
     ServiceConfig,
 )
-from repro.service.soak import LogicalClock, build_soak_plan
+from repro.service.soak import LogicalClock, build_soak_plan, build_traffic
 
 
 def line(method, params=None, req_id=1):
@@ -25,8 +29,7 @@ def line(method, params=None, req_id=1):
     return json.dumps(msg)
 
 
-@pytest.fixture()
-def service(host):
+def make_service(host):
     clock = LogicalClock()
     backend = AdvisoryBackend(host, registry=RngRegistry(), runs=3)
     breaker = CircuitBreaker(
@@ -36,6 +39,24 @@ def service(host):
         clock=clock,
     )
     return PlacementService(backend, breaker=breaker, clock=clock)
+
+
+@pytest.fixture()
+def service(host):
+    return make_service(host)
+
+
+def pin_dispatch(service):
+    """Hold every dispatch until the returned event is set."""
+    release = threading.Event()
+    real = service.dispatch
+
+    def slow(request, admitted_at):
+        release.wait(timeout=10)
+        return real(request, admitted_at)
+
+    service.dispatch = slow
+    return release
 
 
 class TestDispatch:
@@ -61,12 +82,12 @@ class TestDispatch:
         })))
         assert out["error"]["kind"] == "deadline_exceeded"
 
-    def test_draining_refuses_work_but_answers_health(self, service):
+    def test_health_and_ready_report_draining(self, service):
         service.draining = True
-        out = json.loads(service.handle_line(line("classify", {"target": 7})))
-        assert out["error"]["kind"] == "shutting_down"
-        health = json.loads(service.handle_line(line("health")))
-        assert "result" in health
+        health = json.loads(service.handle_line(line("health")))["result"]
+        assert health["draining"] is True
+        ready = json.loads(service.handle_line(line("ready")))["result"]
+        assert ready["draining"] is True and ready["ready"] is False
 
     def test_junk_never_raises(self, service):
         for junk in ("", "{", "[]", '{"jsonrpc":"2.0"}', "\x00\xff"):
@@ -156,14 +177,7 @@ class TestAsyncTransport:
         assert all("result" in r for r in replies)
 
     def test_queue_full_rejects_with_overloaded(self, service):
-        release = threading.Event()
-        real = service.handle_line
-
-        def slow(request_line):
-            release.wait(timeout=10)
-            return real(request_line)
-
-        service.handle_line = slow
+        release = pin_dispatch(service)
 
         async def run():
             server = AsyncPlacementServer(
@@ -192,14 +206,7 @@ class TestAsyncTransport:
         assert sum(1 for r in replies if "result" in r) == 2
 
     def test_deadline_cancels_slow_request(self, service):
-        release = threading.Event()
-        real = service.handle_line
-
-        def slow(request_line):
-            release.wait(timeout=10)
-            return real(request_line)
-
-        service.handle_line = slow
+        release = pin_dispatch(service)
         service.clock = __import__("time").monotonic  # real queue-wait timing
 
         async def run():
@@ -265,27 +272,206 @@ class TestAsyncTransport:
         assert rest == b""
 
     def test_drain_answers_queued_work_then_refuses(self, service):
+        release = pin_dispatch(service)
+
         async def run():
             server = AsyncPlacementServer(
-                service, ServiceConfig(port=0, queue_limit=8, workers=2)
+                service, ServiceConfig(port=0, queue_limit=8, workers=1)
             )
             await server.start()
             port = server.port
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            # One request in flight on the single worker, one queued.
             writer.write((line("health", req_id=1) + "\n").encode())
+            writer.write(
+                (line("classify", {"target": 7}, req_id=2) + "\n").encode()
+            )
             await writer.drain()
-            first = json.loads(await reader.readline())
-            await server.drain()
+            await asyncio.sleep(0.05)  # both admitted
+            drain = asyncio.create_task(server.drain())
+            await asyncio.sleep(0)  # the drain has begun
             assert service.draining
+            writer.write(
+                (line("classify", {"target": 7}, req_id=3) + "\n").encode()
+            )
+            await writer.drain()
+            refused = json.loads(await reader.readline())
+            release.set()
+            answered = [json.loads(await reader.readline()) for _ in range(2)]
+            await drain
             # The listener is closed: new connections are refused.
             with pytest.raises(OSError):
                 await asyncio.open_connection("127.0.0.1", port)
             writer.close()
             await writer.wait_closed()
-            return first
+            return refused, answered
 
-        first = asyncio.run(run())
-        assert "result" in first
+        refused, answered = asyncio.run(run())
+        assert refused["id"] == 3
+        assert refused["error"]["kind"] == "shutting_down"
+        assert sorted(r["id"] for r in answered) == [1, 2]
+        assert all("result" in r for r in answered)
+
+    def test_half_closed_client_gets_every_reply(self, service):
+        async def run():
+            server = AsyncPlacementServer(
+                service, ServiceConfig(port=0, queue_limit=8, workers=2)
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            # Three pipelined lines, the last an unterminated tail, then
+            # EOF on the client's write side.
+            writer.write("\n".join([
+                line("health", req_id=1),
+                line("classify", {"target": 7}, req_id=2),
+                line("health", req_id=3),
+            ]).encode())
+            writer.write_eof()
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return [json.loads(reply) for reply in raw.splitlines()]
+
+        replies = asyncio.run(run())
+        assert sorted(r["id"] for r in replies) == [1, 2, 3]
+        assert all("result" in r for r in replies)
+
+    def test_transport_faults_are_events_not_tracebacks(self, service):
+        captured = []
+
+        async def run():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: captured.append(context)
+            )
+            server = AsyncPlacementServer(
+                service, ServiceConfig(port=0, queue_limit=8, workers=2)
+            )
+            await server.start()
+            clients = []
+            for req_id in (1, 2):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write((line("health", req_id=req_id) + "\n").encode())
+                await reader.readline()  # the handler is up and reading
+                clients.append((reader, writer))
+            # The first client resets its connection (RST) ...
+            reset = clients[0][1]
+            reset.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            reset.transport.abort()
+            await asyncio.sleep(0.1)
+            # ... the second is still connected, idle, when drain runs.
+            await server.drain()
+            idle_reader, idle_writer = clients[1]
+            tail = await asyncio.wait_for(idle_reader.read(), timeout=5)
+            idle_writer.close()
+            await idle_writer.wait_closed()
+            return tail
+
+        tail = asyncio.run(run())
+        assert captured == []
+        assert tail == b""  # drain closed the idle connection
+        faults = [
+            event["tags"]["error"] for event in service.live.flight.events()
+            if event["kind"] == "transport-error"
+        ]
+        assert faults == ["ConnectionResetError"]
+
+    def test_each_line_is_decoded_once(self, service, monkeypatch):
+        decoded = []
+        real_decode = server_module.decode_request
+
+        def counting(text):
+            decoded.append(text)
+            return real_decode(text)
+
+        monkeypatch.setattr(server_module, "decode_request", counting)
+        release = pin_dispatch(service)
+        burst = 50
+
+        async def run():
+            server = AsyncPlacementServer(
+                service, ServiceConfig(port=0, queue_limit=4, workers=1)
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write("".join(
+                line("health", req_id=i) + "\n" for i in range(burst)
+            ).encode())
+            await writer.drain()
+            # At most workers + queue_limit = 5 lines are admitted, so
+            # the first 45 replies are refusals.
+            replies = [json.loads(await reader.readline()) for _ in range(45)]
+            release.set()
+            replies += [json.loads(await reader.readline()) for _ in range(5)]
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return replies, server.rejected
+
+        replies, rejected = asyncio.run(run())
+        assert sorted(r["id"] for r in replies) == list(range(burst))
+        overloaded = [
+            r for r in replies
+            if r.get("error", {}).get("kind") == "overloaded"
+        ]
+        assert len(overloaded) == rejected >= 45
+        assert len(decoded) == burst
+
+
+def _without_queue_wait(reply: str) -> str:
+    """A ``metrics`` reply minus the TCP-only queue-wait histogram."""
+    message = json.loads(reply)
+    histograms = message.get("result", {}).get("histograms")
+    if histograms is None or "service.queue_wait" not in histograms:
+        return reply
+    del histograms["service.queue_wait"]
+    return encode_message(message)
+
+
+class TestTransportDifferential:
+    def test_tcp_replies_equal_handle_line(self, host):
+        """TCP and in-process answer every soak line with the same bytes."""
+        traffic = build_traffic(RngRegistry(7), host, 7, 80)
+        assert any('"deadline_ms":0' in text for text in traffic)
+        twin = make_service(host)
+        expected = []
+        for text in traffic:
+            expected.append(twin.handle_line(text))
+            twin.clock.advance()
+
+        service = make_service(host)
+
+        async def run():
+            server = AsyncPlacementServer(
+                service, ServiceConfig(port=0, queue_limit=8, workers=2)
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            replies = []
+            for text in traffic:
+                writer.write((text + "\n").encode())
+                await writer.drain()
+                replies.append((await reader.readline()).decode())
+                service.clock.advance()
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+            return replies
+
+        replies = asyncio.run(run())
+        assert len(replies) == len(traffic)
+        for text, want, got in zip(traffic, expected, replies):
+            assert _without_queue_wait(got) == want, text
 
 
 class TestLiveMetrics:
