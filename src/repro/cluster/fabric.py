@@ -24,6 +24,9 @@ from repro.units import GB
 
 __all__ = ["Transfer", "TransferOutcome", "SwitchedCluster"]
 
+#: A transfer reports the gravest status among its streams.
+_STATUS_RANK = ("failed", "rerouted", "recovered", "ok")
+
 
 @dataclass(frozen=True)
 class Transfer:
@@ -162,7 +165,7 @@ class SwitchedCluster:
             by an active fault retry with seeded exponential backoff and
             transfers whose budget is exhausted complete with
             ``status="failed"`` instead of raising.  ``None`` (the
-            default) keeps the healthy fast path bit-identical.
+            default) simulates through the cluster's solver session.
         retry:
             Optional :class:`~repro.faults.degraded.RetryPolicy`
             (fault-plan runs only).
@@ -249,59 +252,32 @@ class SwitchedCluster:
             meta[t.name] = t
             placements[t.name] = ((t.src_host, src_node), (t.dst_host, dst_node))
 
-        if fault_plan is not None:
-            return self._run_degraded(
-                flows, capacities, meta, placements, fault_plan, retry, run_idx
-            )
-        outcomes = self.session.simulate(flows, capacities)
-        results: dict[str, TransferOutcome] = {}
-        for name, t in meta.items():
-            mine = {k: o for k, o in outcomes.items()
-                    if k.rsplit("/", 1)[0] == name}
-            results[name] = TransferOutcome(
-                name=name,
-                aggregate_gbps=sum(o.avg_gbps for o in mine.values()),
-                duration_s=max(o.finish_s for o in mine.values()),
-                src_placement=placements[name][0],
-                dst_placement=placements[name][1],
-            )
-        return results
+        if fault_plan is None:
+            outcomes = self.session.simulate(flows, capacities)
+        else:
+            from repro.faults.degraded import DegradedFlowRunner
 
-    def _run_degraded(
-        self, flows, capacities, meta, placements, fault_plan, retry, run_idx
-    ) -> dict[str, TransferOutcome]:
-        """Fault-plan path of :meth:`run`: structured partial results."""
-        from repro.faults.degraded import DegradedFlowRunner
-
-        runner = DegradedFlowRunner(
-            capacities,
-            plan=fault_plan,
-            rng=self.registry.stream(f"cluster/faults/run{run_idx}"),
-            retry=retry,
-            stats=self.session.stats,
-        )
-        outcomes = runner.simulate(flows)
+            runner = DegradedFlowRunner(
+                capacities,
+                plan=fault_plan,
+                rng=self.registry.stream(f"cluster/faults/run{run_idx}"),
+                retry=retry,
+                stats=self.session.stats,
+            )
+            outcomes = runner.simulate(flows)
         results: dict[str, TransferOutcome] = {}
         for name in meta:
             mine = [o for k, o in sorted(outcomes.items())
                     if k.rsplit("/", 1)[0] == name]
-            failed = [o for o in mine if o.status == "failed"]
-            if failed:
-                status, reason = "failed", failed[0].reason
-            elif any(o.status == "rerouted" for o in mine):
-                status, reason = "rerouted", None
-            elif any(o.status == "recovered" for o in mine):
-                status, reason = "recovered", None
-            else:
-                status, reason = "ok", None
+            statuses = {o.status for o in mine}
             results[name] = TransferOutcome(
                 name=name,
                 aggregate_gbps=sum(o.avg_gbps for o in mine),
                 duration_s=max(o.finish_s for o in mine),
                 src_placement=placements[name][0],
                 dst_placement=placements[name][1],
-                status=status,
-                reason=reason,
+                status=next(st for st in _STATUS_RANK if st in statuses),
+                reason=next((o.reason for o in mine if o.status == "failed"), None),
                 retries=sum(o.retries for o in mine),
                 reroutes=sum(o.reroutes for o in mine),
             )

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.topology.machine import Machine, Relation
 
-__all__ = ["PerfClass", "classify_nodes", "classify_kmeans"]
+__all__ = ["PerfClass", "split_classes", "classify_nodes", "classify_kmeans"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,40 @@ class PerfClass:
         return node in self.node_ids
 
 
+def split_classes(
+    values: Mapping[int, float],
+    machine: Machine,
+    target_node: int,
+    rel_gap: float = 0.08,
+) -> tuple[tuple[int, ...], ...]:
+    """The node groups of the class rule, fastest first.
+
+    Local and neighbouring nodes form the first group; the remaining
+    nodes, sorted by decreasing value, start a new group wherever the
+    relative gap to their predecessor exceeds ``rel_gap``.  Only the
+    machine's nodes that have an entry in ``values`` are grouped, so a
+    caller may leave out nodes it could not measure; an empty first
+    group is omitted.
+    """
+    nodes = [n for n in machine.node_ids if n in values]
+    first = [
+        n
+        for n in nodes
+        if machine.relation(target_node, n) in (Relation.LOCAL, Relation.NEIGHBOR)
+    ]
+    remote = sorted((n for n in nodes if n not in first), key=lambda n: -values[n])
+    groups: list[tuple[int, ...]] = [tuple(sorted(first))] if first else []
+    group: list[int] = []
+    for node in remote:
+        if group and (values[group[-1]] - values[node]) / values[group[-1]] > rel_gap:
+            groups.append(tuple(sorted(group)))
+            group = []
+        group.append(node)
+    if group:
+        groups.append(tuple(sorted(group)))
+    return tuple(groups)
+
+
 def classify_nodes(
     values: Mapping[int, float],
     machine: Machine,
@@ -72,7 +106,7 @@ def classify_nodes(
         Used for the local/neighbour rule.
     rel_gap:
         Adjacent (sorted) remote values whose relative gap exceeds this
-        start a new class.
+        start a new class (see :func:`split_classes`).
 
     Returns
     -------
@@ -86,41 +120,13 @@ def classify_nodes(
     if any(v <= 0 for v in values.values()):
         raise ModelError("bandwidth values must be positive")
 
-    first = [
-        n
-        for n in machine.node_ids
-        if machine.relation(target_node, n) in (Relation.LOCAL, Relation.NEIGHBOR)
-    ]
-    remote = sorted(
-        (n for n in machine.node_ids if n not in first),
-        key=lambda n: -values[n],
-    )
-
-    classes: list[PerfClass] = [
-        PerfClass(rank=1, node_ids=tuple(sorted(first)),
-                  values={n: float(values[n]) for n in first})
-    ]
-    group: list[int] = []
-    for node in remote:
-        if group and (values[group[-1]] - values[node]) / values[group[-1]] > rel_gap:
-            classes.append(
-                PerfClass(
-                    rank=len(classes) + 1,
-                    node_ids=tuple(sorted(group)),
-                    values={n: float(values[n]) for n in group},
-                )
-            )
-            group = []
-        group.append(node)
-    if group:
-        classes.append(
-            PerfClass(
-                rank=len(classes) + 1,
-                node_ids=tuple(sorted(group)),
-                values={n: float(values[n]) for n in group},
-            )
+    return tuple(
+        PerfClass(rank=rank, node_ids=group,
+                  values={n: float(values[n]) for n in group})
+        for rank, group in enumerate(
+            split_classes(values, machine, target_node, rel_gap), start=1
         )
-    return tuple(classes)
+    )
 
 
 def classify_kmeans(

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
@@ -74,14 +75,34 @@ _WORKER_MODELS: "OrderedDict[tuple, object]" = OrderedDict()
 _WORKER_STALLED = False
 
 
+#: How often a worker checks that the process that started it is alive.
+_PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker once ``parent`` is gone (the worker is re-parented).
+
+    A SIGKILLed parent never closes the call queue, so its workers would
+    otherwise block on the inherited pipe forever.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _worker_init() -> None:
     """Reset fabric state a forked worker inherited from its parent.
 
     Forked workers carry copies of the parent's arena registry and
     session cache.  Those handles must be neutralised — the parent owns
     every published segment, and a worker's exit sweep must never close
-    (let alone unlink) them through an inherited handle.
+    (let alone unlink) them through an inherited handle.  A daemon
+    thread ends the worker if its parent dies.
     """
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True,
+        name="fabric-parent-watch",
+    ).start()
     for inherited in _arena._ARENAS.values():
         inherited.owner = False
         inherited.closed = True

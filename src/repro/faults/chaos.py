@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.fabric import SwitchedCluster, Transfer
+from repro.core.classify import split_classes
 from repro.errors import FaultError, RoutingError, TopologyError
 from repro.faults.degraded import (
     DegradedFlowRunner,
@@ -35,10 +36,11 @@ from repro.faults.degraded import (
 from repro.faults.events import FaultEvent, LinkFail, NicPortFlap
 from repro.faults.plan import FaultedMachine, FaultPlan
 from repro.flows.flow import Flow
+from repro.flows.network import FlowNetwork
 from repro.rng import RngRegistry
 from repro.solver.capacity import build_capacities
 from repro.topology.builders import reference_host
-from repro.topology.machine import Machine, Relation
+from repro.topology.machine import Machine
 from repro.units import GB
 
 __all__ = [
@@ -53,15 +55,14 @@ __all__ = [
 
 # --- node reclassification under faults -----------------------------------
 
-def _split_classes(
-    machine: Machine, target: int, rel_gap: float = 0.08
+def _dma_classes(
+    machine: Machine, target: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Equivalence classes of the analytic DMA path model, fault-tolerant.
+    """Node classes of the noise-free DMA path model, plus isolated nodes.
 
-    Mirrors :func:`repro.core.classify.classify_nodes` (local+neighbour
-    first, remotes split at relative gaps) but over the noise-free
-    :meth:`Machine.dma_path_gbps` values and tolerating unreachable
-    nodes, which are returned separately as ``isolated``.
+    Groups :meth:`Machine.dma_path_gbps` values with
+    :func:`~repro.core.classify.split_classes`; nodes with no route to
+    ``target`` are left out of the classes and returned as ``isolated``.
     """
     values: dict[int, float] = {}
     isolated: list[int] = []
@@ -70,22 +71,7 @@ def _split_classes(
             values[n] = machine.dma_path_gbps(n, target)
         except RoutingError:
             isolated.append(n)
-    first = [
-        n
-        for n in values
-        if machine.relation(target, n) in (Relation.LOCAL, Relation.NEIGHBOR)
-    ]
-    remote = sorted((n for n in values if n not in first), key=lambda n: -values[n])
-    classes: list[tuple[int, ...]] = [tuple(sorted(first))] if first else []
-    group: list[int] = []
-    for node in remote:
-        if group and (values[group[-1]] - values[node]) / values[group[-1]] > rel_gap:
-            classes.append(tuple(sorted(group)))
-            group = []
-        group.append(node)
-    if group:
-        classes.append(tuple(sorted(group)))
-    return tuple(classes), tuple(isolated)
+    return split_classes(values, machine, target), tuple(isolated)
 
 
 def _render_classes(classes: tuple[tuple[int, ...], ...]) -> str:
@@ -319,7 +305,7 @@ def _run_dma_scenario(
     flows, endpoints = _dma_fanin_flows(machine, target, per_node, size)
     capacities = build_capacities(machine)
 
-    healthy = DegradedFlowRunner(capacities).simulate(flows)
+    healthy = FlowNetwork(capacities).simulate(flows)
     duration = max(o.finish_s for o in healthy.values())
     plan = plan_builder(machine, registry.stream(f"chaos/{name}/faults"), duration)
 
@@ -335,8 +321,8 @@ def _run_dma_scenario(
     # Reclassify the node equivalence classes on the end-state topology.
     t_eval = max(e.at_s for e in plan.events) if plan.events else 0.0
     faulted_view = plan.apply(machine, at_s=t_eval)
-    healthy_classes, _ = _split_classes(machine, target)
-    faulted_classes, isolated = _split_classes(faulted_view, target)
+    healthy_classes, _ = _dma_classes(machine, target)
+    faulted_classes, isolated = _dma_classes(faulted_view, target)
 
     rows = tuple(
         OutcomeRow(

@@ -2,9 +2,9 @@
 
 One policy, two very different consumers:
 
-* the degraded-mode flow simulator
-  (:class:`~repro.faults.degraded.DegradedFlowRunner`) parks blocked
-  flows and retries them after a backoff delay;
+* the fault policy of the flow simulator
+  (:class:`~repro.faults.degraded.DegradedFlowRunner`) parks a flow on
+  a dead resource and wakes it for another try after a backoff delay;
 * the placement-advisory service's circuit breaker
   (:class:`~repro.service.breaker.CircuitBreaker`) holds its OPEN state
   for a backoff window before admitting a half-open probe.

@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,23 @@ def _live_segments():
 
     reap_orphans(max_age_s=0.0)
     return live_segments()
+
+
+def _processes_naming(marker: str) -> list[int]:
+    """PIDs of live processes whose command line contains ``marker``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+            # A zombie is already dead; it only waits to be reaped.
+            state = (entry / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if marker.encode() in cmdline and state != "Z":
+            pids.append(int(entry.name))
+    return pids
 
 
 @pytest.mark.parametrize("crash_spec", ["2", "2:torn"])
@@ -92,3 +111,19 @@ def test_resume_of_complete_run_recomputes_nothing(tmp_path):
     records, _, torn = scan_journal(run_dir / JOURNAL_FILENAME)
     assert not torn and len(records) == 4
     assert _live_segments() == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
+                    reason="needs /proc to list processes")
+def test_sigkill_leaves_no_orphaned_workers(tmp_path):
+    run_dir = tmp_path / "run"
+    crashed = _run(["--resume", str(run_dir)],
+                   env={CRASH_ENV: "2"}, expect_kill=True)
+    assert crashed.returncode != 0
+
+    deadline = time.monotonic() + 5.0
+    survivors = _processes_naming(str(run_dir))
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.1)
+        survivors = _processes_naming(str(run_dir))
+    assert survivors == []

@@ -110,13 +110,18 @@ class TestFaultPlans:
     def test_empty_plan_behaves_healthy(self, cluster):
         from repro.faults.plan import FaultPlan
 
-        healthy = cluster.run([self._transfer()])["t"]
-        degraded = cluster.run([self._transfer()], fault_plan=FaultPlan())["t"]
-        assert degraded.status == "ok"
-        assert degraded.retries == 0 and degraded.reroutes == 0
-        assert degraded.aggregate_gbps == pytest.approx(
-            healthy.aggregate_gbps, rel=1e-6
-        )
+        transfers = [
+            Transfer(name="t", src_host="h0", dst_host="h1", numjobs=4,
+                     size_bytes=4e9),
+            Transfer(name="u", src_host="h2", dst_host="h1", engine="tcp",
+                     numjobs=3, size_bytes=2e9),
+        ]
+        healthy = cluster.run(transfers)
+        degraded = cluster.run(transfers, fault_plan=FaultPlan())
+        assert degraded == healthy
+        for outcome in degraded.values():
+            assert outcome.status == "ok"
+            assert outcome.retries == 0 and outcome.reroutes == 0
 
     def test_flap_window_recovers(self, cluster):
         from repro.faults.events import FaultEvent, NicPortFlap

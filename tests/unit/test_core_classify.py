@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.classify import PerfClass, classify_kmeans, classify_nodes
+from repro.core.classify import (
+    PerfClass,
+    classify_kmeans,
+    classify_nodes,
+    split_classes,
+)
 from repro.errors import ModelError
 
 
@@ -81,6 +86,14 @@ class TestClassifyNodes:
     def test_unknown_target_rejected(self, host, write_values):
         with pytest.raises(ModelError):
             classify_nodes(write_values, host, 42)
+
+
+class TestSplitClasses:
+    def test_groups_only_the_given_nodes(self, host, read_values):
+        # Nodes without a value (unreachable ones, say) are left out.
+        del read_values[4]
+        del read_values[6]
+        assert split_classes(read_values, host, 7) == ((7,), (2, 3), (0, 1, 5))
 
 
 class TestClassifyKmeans:

@@ -51,6 +51,18 @@ class TestSimulate:
         assert out["late"].start_s == 100.0
         assert out["late"].finish_s == pytest.approx(102.0)
 
+    @pytest.mark.parametrize(
+        "sizes, starts",
+        [((1e9, 1e9), (0.0, 100.0)), ((1e9, 5e9), (0.0, 0.5))],
+        ids=["disjoint", "overlapping"],
+    )
+    def test_duplicate_names_rejected(self, sizes, starts):
+        net = FlowNetwork({"r": 10.0})
+        flows = [Flow(name="a", resources=("r",), size_bytes=size, start_s=start)
+                 for size, start in zip(sizes, starts)]
+        with pytest.raises(SimulationError, match="duplicate flow names"):
+            net.simulate(flows)
+
     def test_requires_sizes(self):
         net = FlowNetwork({"r": 1.0})
         with pytest.raises(SimulationError):
@@ -85,3 +97,5 @@ class TestOutcome:
         assert o.name == "f"
         assert o.bytes_moved == pytest.approx(size)
         assert o.duration_s == pytest.approx(1.0)
+        assert o.status == "ok" and o.completed
+        assert o.reason is None and o.retries == 0 and o.reroutes == 0

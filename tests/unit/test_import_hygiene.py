@@ -3,7 +3,7 @@
 scipy costs about half a second of import and ~60 MB of RSS; the
 package uses it only inside ``fit_response_curve`` and
 ``classify_kmeans`` (the ``fit`` extra).  A serial ``experiment all``
-also stays off the worker fabric, the journal and
+also stays off the worker fabric, the journal, the fault layer and
 :mod:`multiprocessing`.  Each check runs in a fresh interpreter so
 modules imported by other tests cannot hide a regression.
 """
@@ -27,8 +27,11 @@ loaded = sorted(m for m in sys.modules if m.startswith({absent!r}))
 assert not loaded, loaded[:10]
 """
 
-#: What a serial ``experiment all`` must not load on top of scipy.
-_OFFLINE_LAYER = ("repro.fabric", "repro.journal", "multiprocessing")
+#: What a serial ``experiment all`` must not load on top of scipy: the
+#: healthy flow simulation runs without the fault layer.
+_OFFLINE_LAYER = (
+    "repro.fabric", "repro.journal", "multiprocessing", "repro.faults",
+)
 
 
 def _run_without_scipy(snippet: str, also_absent: tuple = ()) -> None:
