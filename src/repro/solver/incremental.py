@@ -6,7 +6,8 @@ Two observations make the simulation hot path cheap:
    treats two flows identically when they share (resource set, demand,
    weight); only the multiset of signatures matters.  Cold solves
    therefore run over *signature groups* — 16 identical copy threads are
-   one group — with a vectorized numpy water-filling loop.
+   one group — with a vectorized numpy water-filling loop, or in closed
+   form when the whole problem is one group (a bulk-copy probe).
 2. **Active sets recur.**  A piecewise-constant simulation revisits the
    same active multiset over and over (staggered identical flows cycle
    through the same population counts), and characterization sweeps
@@ -146,16 +147,53 @@ class AllocationCache:
 def _solve_groups(
     signatures: list[tuple], capacities: dict[str, float]
 ) -> dict[tuple, float]:
-    """Cold solve: vectorized progressive filling over signature groups.
+    """Cold solve: the per-flow rate of each signature.
 
-    Returns the *per-flow* rate of each signature.  A group of ``m``
-    identical flows behaves exactly like one super-flow of ``m`` times
-    the weight and demand whose rate is split evenly — the members raise
-    together and freeze together.
+    A group of ``m`` identical flows behaves exactly like one super-flow
+    of ``m`` times the weight and demand whose rate is split evenly —
+    the members raise together and freeze together.  A single group (the
+    ``m`` copy threads of one bulk-copy probe) fills in exactly one
+    round, so it is solved in closed form with the same float operations
+    as that round of :func:`_fill_groups`; several groups run the
+    vectorized loop.
     """
     groups: OrderedDict[tuple, int] = OrderedDict()
     for sig in signatures:
         groups[sig] = groups.get(sig, 0) + 1
+    if len(groups) == 1:
+        ((sig, count),) = groups.items()
+        return {sig: _fill_one_group(sig, count, capacities)}
+    return _fill_groups(groups, capacities)
+
+
+def _fill_one_group(sig: tuple, count: int, capacities: dict[str, float]) -> float:
+    """The one filling round of a lone group, in plain Python floats.
+
+    Every resource in ``capacities`` carries the group, so the round's
+    increment is ``min(min_r cap_r / (count * w), demand / w)``; the
+    group then freezes on the saturated resource or on its demand.
+    """
+    _, demand, weight = sig
+    load = float(count) * weight
+    increment = math.inf
+    for cap in capacities.values():
+        increment = min(increment, cap / load)
+    increment = min(increment, demand / weight)
+    if math.isinf(increment):  # pragma: no cover - pre-validated in rates()
+        raise SimulationError(
+            "unbounded allocation: elastic flow(s) traverse no resources"
+        )
+    return max(increment, 0.0) * weight
+
+
+def _fill_groups(
+    groups: "OrderedDict[tuple, int]", capacities: dict[str, float]
+) -> dict[tuple, float]:
+    """Vectorized progressive filling over signature groups.
+
+    ``groups`` maps each signature to its flow count; returns the
+    per-flow rate of each signature.
+    """
     sigs = list(groups)
     counts = np.array([groups[s] for s in sigs], dtype=float)
     weights = np.array([s[2] for s in sigs], dtype=float)  # per-flow weight

@@ -4,19 +4,29 @@ The memoized/vectorized :class:`repro.solver.incremental.AllocationCache`
 must be an observationally exact replacement for a cold
 :func:`repro.flows.maxmin.maxmin_allocate` call: same rates (within
 1e-9) on any problem, whether the answer is solved cold, served from the
-signature-multiset cache, or re-keyed after a capacity change.
+signature-multiset cache, or re-keyed after a capacity change.  The
+closed-form solve of a lone signature group must equal the vectorized
+filling loop exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.flows.flow import Flow
 from repro.flows.maxmin import maxmin_allocate
-from repro.solver.incremental import AllocationCache, flow_signature
+from repro.solver.incremental import (
+    AllocationCache,
+    _fill_groups,
+    _solve_groups,
+    flow_signature,
+)
 
 RESOURCES = ["r0", "r1", "r2", "r3", "r4"]
 
@@ -132,3 +142,70 @@ def test_identical_signatures_get_identical_rates(problem):
         by_signature.setdefault(flow_signature(f), []).append(rates[f.name])
     for values in by_signature.values():
         assert max(values) - min(values) <= TOL
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def single_group_problems(draw):
+    """``count`` identical flows: the shape of every bulk-copy probe.
+
+    ``bound`` steers the demand to sit below (``"demand"``) or above
+    (``"capacity"``) the group's fair share, or leaves it elastic.
+    """
+    n_resources = draw(st.integers(min_value=0, max_value=5))
+    names = RESOURCES[:n_resources]
+    caps = {r: draw(st.floats(min_value=0.5, max_value=100.0, **_finite))
+            for r in names}
+    count = draw(st.integers(min_value=1, max_value=32))
+    weight = draw(
+        st.floats(min_value=0.25, max_value=4.0, **_finite).filter(
+            lambda w: w != 1.0
+        )
+    )
+    share = min((c / (count * weight) for c in caps.values()), default=math.inf)
+    bound = draw(st.sampled_from(
+        ("demand", "capacity", "elastic") if names else ("demand",)
+    ))
+    if bound == "elastic":
+        demand = math.inf
+    elif bound == "capacity":
+        demand = draw(st.floats(min_value=1.5, max_value=10.0, **_finite)) * (
+            share * weight
+        )
+    else:
+        demand = draw(st.floats(min_value=0.01, max_value=0.95, **_finite)) * (
+            min(share, 50.0) * weight
+        )
+    flows = [
+        Flow(name=f"f{i}", resources=tuple(names), demand_gbps=demand,
+             weight=weight)
+        for i in range(count)
+    ]
+    return flows, caps, bound
+
+
+@given(single_group_problems())
+@settings(max_examples=300, deadline=None)
+def test_single_group_closed_form_equals_filling_loop(problem):
+    flows, caps, bound = problem
+    (sig,) = {flow_signature(f) for f in flows}
+    closed = _solve_groups([flow_signature(f) for f in flows], caps)
+    looped = _fill_groups(OrderedDict([(sig, len(flows))]), caps)
+    assert closed == looped
+    rate = closed[sig]
+    if bound == "demand":
+        assert abs(rate - sig[1]) <= TOL
+    else:
+        assert rate < sig[1]
+    expected = maxmin_allocate(flows, caps)
+    actual = AllocationCache().rates(flows, caps)
+    for name in expected:
+        assert abs(actual[name] - expected[name]) <= TOL, name
+
+
+def test_single_elastic_group_on_no_resources_still_raises():
+    flows = [Flow(name=f"f{i}", resources=()) for i in range(4)]
+    with pytest.raises(SimulationError, match="unbounded"):
+        AllocationCache().rates(flows, {"r0": 1.0})

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.cli.commands import _MACHINES
+from repro.core import iomodel
 from repro.core.iomodel import IOModelBuilder
-from repro.errors import ModelError
+from repro.errors import AllocationError, ModelError
+from repro.memory.allocator import PageAllocator
+from repro.units import MiB
 
 
 class TestBuilder:
@@ -41,13 +45,47 @@ class TestBuilder:
         with pytest.raises(ModelError):
             IOModelBuilder(host, sigma=-0.1)
 
-    def test_vectorized_build_matches_measure_pair_loop(self, host, registry):
-        builder = IOModelBuilder(host, registry=registry, runs=10)
+    @pytest.mark.parametrize("mode", ["write", "read"])
+    @pytest.mark.parametrize("name", sorted(_MACHINES))
+    def test_vectorized_build_matches_measure_pair_loop(self, name, mode, registry):
+        machine = _MACHINES[name]()
+        target = machine.node_ids[-1]
+        builder = IOModelBuilder(machine, registry=registry, runs=10)
+        model = builder.build(target, mode)
+        assert model.values == {
+            i: builder.measure_pair(i, target, mode).gbps for i in machine.node_ids
+        }
+
+    def test_memory_starved_node_fails_the_sweep_like_measure_pair(self, host):
+        m = IOModelBuilder(host).threads_per_node()
+        starved = min(host.node_ids, key=lambda n: host.node(n).free_bytes)
+        roomy = max(host.node_ids, key=lambda n: host.node(n).free_bytes)
+        # m buffers overflow the starved node; 2m still fit on the roomy one.
+        buffer_bytes = host.node(starved).free_bytes // m + MiB
+        assert 2 * m * buffer_bytes <= host.node(roomy).free_bytes
+        builder = IOModelBuilder(host, runs=2, buffer_bytes=buffer_bytes)
+        builder.measure_pair(roomy, roomy, "write")
         for mode in ("write", "read"):
-            model = builder.build(7, mode)
-            assert model.values == {
-                i: builder.measure_pair(i, 7, mode).gbps for i in host.node_ids
-            }
+            with pytest.raises(AllocationError):
+                builder.measure_pair(starved, roomy, mode)
+            with pytest.raises(AllocationError):
+                builder.build_many((roomy,), mode)
+
+    def test_sweep_shares_one_allocator_and_frees_every_page(
+        self, host, registry, monkeypatch
+    ):
+        made = []
+
+        class RecordingAllocator(PageAllocator):
+            def __init__(self, machine):
+                super().__init__(machine)
+                made.append(self)
+
+        monkeypatch.setattr(iomodel, "PageAllocator", RecordingAllocator)
+        IOModelBuilder(host, registry=registry, runs=2).build_many((0, 7), "read")
+        (allocator,) = made
+        for n in host.node_ids:
+            assert allocator.free_bytes(n) == host.node(n).free_bytes
 
     def test_build_many_matches_single_builds(self, host, registry):
         builder = IOModelBuilder(host, registry=registry, runs=10)
