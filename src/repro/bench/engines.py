@@ -16,6 +16,7 @@ Two engine families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from repro.osmodel.noise import NoiseModel
 from repro.osmodel.process import SimTask, TaskBinding
 from repro.osmodel.scheduler import CpuScheduler
 from repro.solver.capacity import link_capacities, link_resource
+from repro.solver.incremental import group_signature
 from repro.solver.session import SolverSession, get_session
 from repro.topology.machine import Machine
 
@@ -88,26 +90,18 @@ def device_service_levels(
     return levels
 
 
-def _bulk_copy_flows(machine: Machine, src: int, dst: int, threads: int) -> list[Flow]:
-    """The per-thread DMA-context flow list of one bulk copy src -> dst."""
-    if threads < 1:
-        raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
+def _copy_resources(machine: Machine, src: int, dst: int) -> tuple[str, ...]:
+    """The resources one bulk copy src -> dst contends on.
+
+    Both controllers' DMA side (one when ``src == dst``) and every
+    directed link of the DMA-plane route.
+    """
     src_ctrl = MemoryController(src, 0, 0).dma_resource
     dst_ctrl = MemoryController(dst, 0, 0).dma_resource
-    resources = [src_ctrl]
-    if dst_ctrl != src_ctrl:
-        resources.append(dst_ctrl)
-    if src != dst:
-        for link in machine.path(PLANE_DMA, src, dst).links:
-            resources.append(link_resource(*link.ends))
-    return [
-        Flow(
-            name=f"copy/t{i}",
-            resources=tuple(resources),
-            demand_gbps=machine.params.dma_per_thread_gbps,
-        )
-        for i in range(threads)
-    ]
+    if src == dst:
+        return (src_ctrl,)
+    links = machine.routing.route_links(PLANE_DMA, src, dst)
+    return (src_ctrl, dst_ctrl, *(link_resource(*link.ends) for link in links))
 
 
 def bulk_copy_gbps(
@@ -126,9 +120,7 @@ def bulk_copy_gbps(
     through the machine's :class:`~repro.solver.session.SolverSession`
     (pass ``session`` to share one across a characterization run).
     """
-    session = session if session is not None else get_session(machine)
-    rates = session.rates(_bulk_copy_flows(machine, src, dst, threads))
-    return sum(rates.values())
+    return bulk_copy_gbps_many(machine, [(src, dst)], threads, session=session)[0]
 
 
 def bulk_copy_gbps_many(
@@ -139,14 +131,24 @@ def bulk_copy_gbps_many(
 ) -> list[float]:
     """:func:`bulk_copy_gbps` for many ``(src, dst)`` pairs in one batch.
 
-    All capacity queries go through the session's
-    :meth:`~repro.solver.session.SolverSession.rates_many`, so a dense
-    Algorithm 1 sweep pays one stats phase and one capacity lookup for
-    the whole node loop.  Values are identical to per-pair calls.
+    The ``threads`` copy contexts of one pair are one signature group,
+    so each pair is a single
+    :meth:`~repro.solver.session.SolverSession.group_rates` lookup by
+    signature and thread count — no per-thread flow records — and the
+    whole batch pays one stats phase and one capacity lookup.  Each
+    aggregate is the sum of ``threads`` copies of the per-thread rate,
+    in the order a per-flow rate map would sum them, so values are
+    identical to per-pair calls.
     """
+    if threads < 1:
+        raise BenchmarkError(f"need >= 1 copy thread, got {threads}")
     session = session if session is not None else get_session(machine)
-    problems = [_bulk_copy_flows(machine, src, dst, threads) for src, dst in pairs]
-    return [sum(rates.values()) for rates in session.rates_many(problems)]
+    demand = machine.params.dma_per_thread_gbps
+    groups = [
+        (group_signature(_copy_resources(machine, src, dst), demand), threads)
+        for src, dst in pairs
+    ]
+    return [sum(repeat(rate, threads)) for rate in session.group_rates(groups)]
 
 
 @dataclass(frozen=True)
@@ -343,20 +345,12 @@ class MemcpyEngine:
         machine = self.machine
         noise = NoiseModel(rng)
 
-        src_ctrl = MemoryController(src, 0, 0).dma_resource
-        dst_ctrl = MemoryController(dst, 0, 0).dma_resource
-        resources = [src_ctrl]
-        if dst_ctrl != src_ctrl:
-            resources.append(dst_ctrl)
-        if src != dst:
-            for link in machine.path(PLANE_DMA, src, dst).links:
-                resources.append(link_resource(*link.ends))
-
+        resources = _copy_resources(machine, src, dst)
         per_thread_noise = noise.factors(self.sigma, job.numjobs)
         flows = [
             Flow(
                 name=f"{job.name}/t{i}",
-                resources=tuple(resources),
+                resources=resources,
                 demand_gbps=machine.params.dma_per_thread_gbps
                 * float(per_thread_noise[i]),
                 size_bytes=float(job.size_bytes),

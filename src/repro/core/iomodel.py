@@ -159,7 +159,8 @@ class IOModelBuilder:
         happen per (node, target) probe — so a node without memory fails
         exactly as before — but every bulk-copy capacity query of the
         whole sweep goes through the solver session in one
-        :meth:`~repro.solver.session.SolverSession.rates_many` batch,
+        :meth:`~repro.solver.session.SolverSession.group_rates` batch
+        (each probe one signature-group lookup, no per-thread flows),
         and each model's noise matrix is drawn with a single vectorized
         ``exp``.  Values are bit-identical to node-by-node measurement.
         """
@@ -185,7 +186,8 @@ class IOModelBuilder:
         and a node without memory raises ``AllocationError`` as before.
         Each model's per-node averages come from one ``mean`` reduction
         over its (nodes x runs) sample matrix, and each probe's lone group
-        of copy threads is solved in closed form by the solver.
+        of copy threads is looked up by signature and thread count, and
+        solved in closed form on a miss.
         """
         machine = self.machine
         m = self.threads_per_node()

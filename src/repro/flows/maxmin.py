@@ -90,12 +90,15 @@ def maxmin_allocate(
             for r in f.resources:
                 remaining[r] -= increment * f.weight
 
-        # Freeze flows that hit their demand or a saturated resource.
+        # Freeze flows that hit their demand or a saturated resource.  A
+        # demand counts as hit within a relative _EPS (absolute below
+        # 1 Gbps): ``(d / w) * w`` can round an ulp below ``d``, and above
+        # ~1e4 Gbps an ulp is wider than an absolute 1e-12.
         saturated = {r for r, c in remaining.items() if c <= _EPS * capacities[r] + _EPS}
         frozen = [
             name
             for name, f in active.items()
-            if rates[name] >= f.demand_gbps - _EPS
+            if rates[name] >= f.demand_gbps - _EPS * max(1.0, f.demand_gbps)
             or any(r in saturated for r in f.resources)
         ]
         if not frozen:  # pragma: no cover - numeric safety valve

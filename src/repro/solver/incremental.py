@@ -7,7 +7,10 @@ Two observations make the simulation hot path cheap:
    weight); only the multiset of signatures matters.  Cold solves
    therefore run over *signature groups* — 16 identical copy threads are
    one group — with a vectorized numpy water-filling loop, or in closed
-   form when the whole problem is one group (a bulk-copy probe).
+   form when the whole problem is one group (a bulk-copy probe).  A
+   caller that already knows its problem is one group asks
+   :meth:`AllocationCache.group_rate` by signature and count, with no
+   per-flow records at all.
 2. **Active sets recur.**  A piecewise-constant simulation revisits the
    same active multiset over and over (staggered identical flows cycle
    through the same population counts), and characterization sweeps
@@ -32,7 +35,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["AllocationCache", "flow_signature"]
+__all__ = ["AllocationCache", "flow_signature", "group_signature"]
 
 _EPS = 1e-12
 
@@ -52,16 +55,22 @@ def flow_signature(flow) -> tuple:
     """
     sig = getattr(flow, _SIGNATURE_ATTR, None)
     if sig is None:
-        sig = (
-            tuple(sorted(flow.resources)),
-            float(flow.demand_gbps),
-            float(flow.weight),
-        )
+        sig = group_signature(flow.resources, flow.demand_gbps, flow.weight)
         try:
             setattr(flow, _SIGNATURE_ATTR, sig)
         except AttributeError:  # pragma: no cover - slotted flow types
             pass
     return sig
+
+
+def group_signature(resources, demand_gbps: float, weight: float = 1.0) -> tuple:
+    """The signature every flow of a group shares, built without a flow.
+
+    Equal to :func:`flow_signature` of a :class:`~repro.flows.flow.Flow`
+    with these fields, so :meth:`AllocationCache.group_rate` and
+    :meth:`AllocationCache.rates` key the same problem identically.
+    """
+    return (tuple(sorted(resources)), float(demand_gbps), float(weight))
 
 
 class AllocationCache:
@@ -126,22 +135,72 @@ class AllocationCache:
             tuple(sorted(signatures)),
             tuple((r, float(capacities[r])) for r in used),
         )
+        per_signature = self._memoized(
+            key, lambda caps: _solve_groups(signatures, caps)
+        )
+        return {f.name: per_signature[sig] for f, sig in zip(flow_list, signatures)}
+
+    def group_rate(
+        self, signature: tuple, count: int, capacities: Mapping[str, float]
+    ) -> float:
+        """Per-flow rate of ``count`` identical flows sharing ``signature``.
+
+        The lone-group entry: the answer :meth:`rates` gives each of
+        ``count`` flows whose :func:`flow_signature` is ``signature``
+        (build one with :func:`group_signature`), with the same checks,
+        the same memo key — the two entries share one LRU map and one
+        set of counters — and the same closed-form solve, but no flow
+        records.  A bulk-copy probe is exactly this problem.
+        """
+        resources, demand, weight = signature
+        if count < 1:
+            raise SimulationError(f"a flow group needs >= 1 flow, got {count}")
+        if demand <= 0:
+            raise SimulationError("flow group: demand must be positive")
+        if weight <= 0:
+            raise SimulationError("flow group: weight must be positive")
+        if len(set(resources)) != len(resources):
+            raise SimulationError("flow group lists a resource twice")
+        for r in resources:
+            if r not in capacities:
+                raise SimulationError(f"flow group uses unknown resource {r!r}")
+        for r in resources:
+            if capacities[r] <= 0:
+                raise SimulationError(f"resource {r!r} has non-positive capacity")
+        if not resources and math.isinf(demand):
+            raise SimulationError(
+                "unbounded allocation: elastic flow(s) traverse no resources"
+            )
+        key = (
+            (signature,) * count,
+            tuple((r, float(capacities[r])) for r in resources),
+        )
+        per_signature = self._memoized(
+            key, lambda caps: {signature: _fill_one_group(signature, count, caps)}
+        )
+        return per_signature[signature]
+
+    def _memoized(self, key: tuple, solve) -> dict:
+        """The memo lookup both entries share: LRU hit or counted cold solve.
+
+        ``key[1]`` is the problem's (resource, capacity) items; a miss
+        hands them to ``solve`` as a dict and stores its per-signature
+        rates.
+        """
         per_signature = self._memo.get(key)
         if per_signature is not None:
             self._memo.move_to_end(key)
             if self.stats is not None:
                 self.stats.cache_hits += 1
-        else:
-            if self.stats is not None:
-                self.stats.cache_misses += 1
-                self.stats.solves += 1
-            per_signature = _solve_groups(
-                signatures, {r: float(capacities[r]) for r in used}
-            )
-            self._memo[key] = per_signature
-            while len(self._memo) > self.maxsize:
-                self._memo.popitem(last=False)
-        return {f.name: per_signature[sig] for f, sig in zip(flow_list, signatures)}
+            return per_signature
+        if self.stats is not None:
+            self.stats.cache_misses += 1
+            self.stats.solves += 1
+        per_signature = solve(dict(key[1]))
+        self._memo[key] = per_signature
+        while len(self._memo) > self.maxsize:
+            self._memo.popitem(last=False)
+        return per_signature
 
 
 def _solve_groups(
@@ -171,7 +230,10 @@ def _fill_one_group(sig: tuple, count: int, capacities: dict[str, float]) -> flo
 
     Every resource in ``capacities`` carries the group, so the round's
     increment is ``min(min_r cap_r / (count * w), demand / w)``; the
-    group then freezes on the saturated resource or on its demand.
+    group then freezes on the saturated resource or on its demand.  The
+    demand test in :func:`_fill_groups` is relative, so ``(demand / w) * w``
+    freezes even where it rounds an ulp below a large demand, and the
+    loop, like this closed form, always ends after that one round.
     """
     _, demand, weight = sig
     load = float(count) * weight
@@ -208,6 +270,10 @@ def _fill_groups(
             incidence[index[r], g] = 1.0
 
     caps = np.array([capacities[r] for r in resource_names], dtype=float)
+    # A demand counts as hit within a relative _EPS (absolute below
+    # 1 Gbps), the rule of ``maxmin_allocate`` in the same float
+    # operations; an elastic (inf) demand's floor is nan, never reached.
+    demand_floor = np.array([s[1] - _EPS * max(1.0, s[1]) for s in sigs])
     remaining = caps.copy()
     rates = np.zeros(len(sigs))  # per-flow rate within each group
     active = np.ones(len(sigs), dtype=bool)
@@ -234,7 +300,7 @@ def _fill_groups(
         saturated = remaining <= _EPS * caps + _EPS
         touches_saturated = incidence[saturated].sum(axis=0) > 0.0
         newly_frozen = active & (
-            (rates >= demands - _EPS) | touches_saturated
+            (rates >= demand_floor) | touches_saturated
         )
         if not newly_frozen.any():  # pragma: no cover - numeric safety valve
             raise SimulationError("progressive filling made no progress")

@@ -102,21 +102,24 @@ class SolverSession:
         with self.stats.phase("allocate"):
             return self._alloc.rates(flows, caps)
 
-    def rates_many(
+    def group_rates(
         self,
-        problems: Iterable[Iterable],
+        groups: Iterable[tuple[tuple, int]],
         capacities: Mapping[str, float] | None = None,
-    ) -> list[dict[str, float]]:
-        """Max-min rates for several flow lists under one ``allocate`` phase.
+    ) -> list[float]:
+        """Per-flow rates of several lone signature groups, one ``allocate`` phase.
 
-        The batched entry point for characterization sweeps: one stats
-        phase and one capacity lookup cover the whole batch, and every
-        problem still lands in (and reuses) the shared allocation cache.
-        Results are returned in problem order.
+        Each item is a ``(signature, count)`` problem answered by
+        :meth:`~repro.solver.incremental.AllocationCache.group_rate` —
+        the entry for characterization sweeps, whose every probe is one
+        group of identical copy threads.  One stats phase and one
+        capacity lookup cover the batch; every problem still lands in
+        (and reuses) the shared allocation cache.  Results are returned
+        in problem order.
         """
         caps = capacities if capacities is not None else self._fabric_capacities()
         with self.stats.phase("allocate"):
-            return [self._alloc.rates(flows, caps) for flows in problems]
+            return [self._alloc.group_rate(sig, count, caps) for sig, count in groups]
 
     def network(self, capacities: Mapping[str, float] | None = None) -> FlowNetwork:
         """A :class:`FlowNetwork` sharing this session's cache and stats."""

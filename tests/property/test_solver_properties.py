@@ -209,3 +209,27 @@ def test_single_elastic_group_on_no_resources_still_raises():
     flows = [Flow(name=f"f{i}", resources=()) for i in range(4)]
     with pytest.raises(SimulationError, match="unbounded"):
         AllocationCache().rates(flows, {"r0": 1.0})
+
+
+def test_large_demand_cap_freezes_within_a_relative_tolerance():
+    """``(d / w) * w`` can land an ulp below a demand near 1e5 Gbps.
+
+    Both solvers freeze a demand-capped flow within a relative
+    tolerance, so none of these valid problems stalls into "progressive
+    filling made no progress", and they still agree exactly.
+    """
+    caps = {"r0": 1e9, "r1": 1e9}
+    for weight in (3.0, 0.7, 1.3):
+        for k in range(3000):
+            demand = 1e5 + 0.37 * k
+            flows = [
+                Flow(name="a", resources=("r0",), demand_gbps=demand, weight=weight),
+                Flow(name="b", resources=("r1",)),
+            ]
+            expected = maxmin_allocate(flows, caps)
+            assert AllocationCache().rates(flows, caps) == expected
+            assert abs(expected["a"] - demand) <= TOL * demand
+            # The lone-group loop ends after the closed form's one round.
+            sig = flow_signature(flows[0])
+            looped = _fill_groups(OrderedDict([(sig, 1)]), {"r0": 1e9})
+            assert _solve_groups([sig], {"r0": 1e9}) == looped

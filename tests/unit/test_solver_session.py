@@ -9,6 +9,7 @@ from repro.flows.flow import Flow
 from repro.memory.controller import controller_capacities
 from repro.rng import RngRegistry
 from repro.solver.capacity import build_capacities, link_capacities, machine_fingerprint
+from repro.solver.incremental import group_signature
 from repro.solver.session import SolverSession, get_session, reset_sessions
 from repro.topology.modify import with_dram_gbps, with_link_credit, with_link_removed
 
@@ -143,22 +144,36 @@ class TestAllocationMemoization:
         assert session.stats.solves == 1
         assert session.stats.cache_hits == 1
 
-    def test_rates_many_matches_sequential_rates(self, bare_host):
+    def test_group_rates_matches_sequential_rates(self, bare_host):
         session = SolverSession(bare_host)
-        problems = [
-            [Flow(name=f"f{i}", resources=(f"ctrl-dma:{i}",), demand_gbps=4.0 + i)]
-            for i in range(4)
+        groups = [
+            (group_signature((f"ctrl-dma:{i}",), 4.0 + i), i + 1) for i in range(4)
         ]
-        batched = session.rates_many(problems)
+        batched = session.group_rates(groups)
         reference = SolverSession(bare_host)
-        assert batched == [reference.rates(flows) for flows in problems]
+        sequential = []
+        for (resources, demand, _weight), count in groups:
+            rates = reference.rates(
+                [Flow(name=f"t{k}", resources=resources, demand_gbps=demand)
+                 for k in range(count)]
+            )
+            assert len(set(rates.values())) == 1
+            sequential.append(rates["t0"])
+        assert batched == sequential
 
-    def test_rates_many_shares_the_allocation_cache(self, bare_host):
+    def test_group_rates_shares_the_allocation_cache(self, bare_host):
         session = SolverSession(bare_host)
-        flows = [Flow(name="a", resources=("ctrl-dma:0",), demand_gbps=5.0)]
-        session.rates_many([flows, flows, flows])
+        group = (group_signature(("ctrl-dma:0",), 5.0), 3)
+        session.group_rates([group, group, group])
         assert session.stats.solves == 1
         assert session.stats.cache_hits == 2
+        # The flow-record entry keys the same problem identically.
+        session.rates(
+            [Flow(name=f"a{i}", resources=("ctrl-dma:0",), demand_gbps=5.0)
+             for i in range(3)]
+        )
+        assert session.stats.solves == 1
+        assert session.stats.cache_hits == 3
 
     def test_path_lookups_memoized(self, bare_host):
         session = SolverSession(bare_host)
